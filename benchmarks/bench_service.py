@@ -45,8 +45,8 @@ import zlib
 from typing import Any, Mapping
 
 from repro.core import catalog
-from repro.core.batch import try_batch_verdict
 from repro.core.labeling import Configuration
+from repro.core.verifier import decide
 from repro.graphs.generators import random_tree
 from repro.obs import metrics as obs
 from repro.service import CertificationService, build_envelope
@@ -79,7 +79,8 @@ def _cell_seed(n: int) -> int:
 
 
 def _assert_cold_matches_in_process(envelope, result) -> None:
-    """The served verdict must equal decide() on the same rebuild."""
+    """The served verdict must equal the per-node oracle decide() on the
+    same rebuild, and ``scheme.run`` must still take the array path."""
     spec = catalog.get(envelope.scheme)
     scheme = spec.build(
         graph=envelope.graph,
@@ -87,9 +88,12 @@ def _assert_cold_matches_in_process(envelope, result) -> None:
         **spec.resolve_params(envelope.params),
     )
     config = Configuration.build(envelope.graph, envelope.labeling)
-    verdict = try_batch_verdict(scheme, config, envelope.certificates)
-    if verdict is None:
+    certificates = envelope.certificates
+    if scheme.run(config, certificates).backend != "array":
         raise SystemExit(f"{SCHEME}: batched decider fell back — grid stale")
+    verdict = decide(
+        scheme.verify, config, certificates, scheme.visibility, scheme.radius
+    )
     if result.accepted != verdict.all_accept or result.rejections != len(
         verdict.rejects
     ):

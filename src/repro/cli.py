@@ -598,7 +598,8 @@ def _cmd_profile(args) -> int:
     print(_scheme_line(scheme, spec))
     if args.param:
         print(f"params: {' '.join(args.param)}")
-    print(f"verification: all accept = {verdict.all_accept} "
+    print(f"verification: all accept = {verdict.all_accept}, "
+          f"backend={verdict.backend} "
           f"(message path agrees: {message_verdict == verdict})")
     print("counters:")
     for name, value in sorted(metrics.counters.items()):

@@ -24,6 +24,12 @@ tractable:
   correctness.  Plain ints wider than 62 bits fall back the same way
   (they would overflow the ``int64`` columns).
 
+This module does not choose between the two paths:
+:meth:`~repro.core.scheme.ProofLabelingScheme.run` is the one decision
+entry point.  It asks :func:`_accept_mask` for the batched mask, runs
+the per-node oracle when there is none, and records which path answered
+in :attr:`~repro.core.verifier.Verdict.backend`.
+
 Deciders register per concrete scheme *type* (exact match — a subclass
 with an overridden ``verify`` must register itself) in
 :mod:`repro.core.batch_deciders`, which is imported lazily on first
@@ -62,25 +68,22 @@ if TYPE_CHECKING:  # typing only; runtime import happens lazily below
     from repro.core.labeling import Configuration
     from repro.core.language import DistributedLanguage
     from repro.core.scheme import ProofLabelingScheme
-    from repro.core.verifier import Verdict
     from repro.graphs.graph import Graph
 
 __all__ = [
     "BatchContext",
     "BatchFallback",
     "ObjectCodes",
-    "batch_decide",
     "batch_decider",
     "batch_marker",
     "batch_prove",
     "batch_prover",
-    "batch_verdict",
+    "resolve_backend",
     "supports_batch",
     "supports_batch_marker",
     "supports_batch_prove",
     "try_batch_member_configuration",
     "try_batch_prove",
-    "try_batch_verdict",
 ]
 
 #: Plain ints wider than this many bits cannot ride in an int64 column.
@@ -242,6 +245,18 @@ def supports_batch(scheme: "ProofLabelingScheme") -> bool:
     return decider_for(scheme) is not None
 
 
+def resolve_backend(backend: str, scheme: "ProofLabelingScheme") -> str | None:
+    """A ``backend=`` argument as ``"array"`` or ``"views"``; ``None``
+    when the name is unknown.
+
+    ``"auto"`` picks ``"array"`` exactly when ``scheme`` has a batched
+    decider (which needs numpy).
+    """
+    if backend == "auto":
+        return "array" if supports_batch(scheme) else "views"
+    return backend if backend in ("views", "array") else None
+
+
 # ---------------------------------------------------------------------------
 # The generation registries: batched markers and provers.
 # ---------------------------------------------------------------------------
@@ -400,23 +415,25 @@ def batch_prove(
 
 
 # ---------------------------------------------------------------------------
-# Entry points.
+# The decision helper behind ``ProofLabelingScheme.run``.
 # ---------------------------------------------------------------------------
 
 
-def try_batch_verdict(
+def _accept_mask(
     scheme: "ProofLabelingScheme",
     config: "Configuration",
     certificates: Mapping[int, Any],
-) -> "Verdict | None":
-    """The batched verdict, or ``None`` when the array path cannot run.
+) -> "np.ndarray | None":
+    """The batched accept mask (``mask[v]`` iff node ``v`` accepts), or
+    ``None`` when the per-node oracle must answer instead.
 
-    ``None`` means "use the per-node oracle": no decider for this scheme
-    type, or the registers contain values the encoding cannot represent
-    (:class:`BatchFallback`).  On success the call charges the same
-    ``decide.calls``/``decide.rejections`` counters as the per-node path
-    plus ``decide.batch`` and ``decide.batch.nodes``, so cost ledgers
-    stay comparable across both paths.
+    ``None`` means no decider is registered for the scheme type, or the
+    registers hold values the encoding cannot represent
+    (:class:`BatchFallback`, charged to ``decide.batch.fallbacks``).  A
+    mask charges the same ``decide.calls``/``decide.rejections``
+    counters as the per-node path plus ``decide.batch`` and
+    ``decide.batch.nodes``, so cost ledgers stay comparable across both
+    paths.
     """
     fn = decider_for(scheme)
     if fn is None:
@@ -426,57 +443,10 @@ def try_batch_verdict(
     except BatchFallback:
         _metrics.inc("decide.batch.fallbacks")
         return None
-    from repro.core.verifier import Verdict
-
-    accepts = frozenset(int(v) for v in np.flatnonzero(mask))
-    rejects = frozenset(int(v) for v in np.flatnonzero(~mask))
+    rejections = len(mask) - int(np.count_nonzero(mask))
     _metrics.inc("decide.batch")
     _metrics.inc("decide.batch.nodes", len(mask))
     _metrics.inc("decide.calls")
-    if rejects:
-        _metrics.inc("decide.rejections", len(rejects))
-    return Verdict(accepts=accepts, rejects=rejects)
-
-
-def batch_verdict(
-    scheme: "ProofLabelingScheme",
-    config: "Configuration",
-    certificates: Mapping[int, Any],
-) -> "Verdict":
-    """Batched verdict with automatic per-node fallback (always answers)."""
-    verdict = try_batch_verdict(scheme, config, certificates)
-    if verdict is not None:
-        return verdict
-    from repro.core.verifier import decide
-
-    return decide(
-        scheme.verify,
-        config,
-        certificates,
-        scheme.visibility,
-        scheme.radius,
-    )
-
-
-def batch_decide(
-    scheme: "ProofLabelingScheme",
-    config: "Configuration",
-    certificates: Mapping[int, Any] | None = None,
-) -> "np.ndarray":
-    """Accept mask over all nodes — ``mask[v]`` iff node ``v`` accepts.
-
-    The array-native entry point: certificates default to the scheme's
-    own prover, and schemes without a vectorized decider (or registers
-    the encoding cannot represent) transparently run the per-node
-    oracle, so the answer is always verdict-identical to
-    :func:`repro.core.verifier.decide`.
-    """
-    if np is None:
-        raise RuntimeError("batch_decide needs numpy; install it or use decide()")
-    if certificates is None:
-        certificates = batch_prove(scheme, config)
-    verdict = batch_verdict(scheme, config, certificates)
-    mask = np.zeros(config.graph.n, dtype=bool)
-    if verdict.accepts:
-        mask[np.fromiter(verdict.accepts, dtype=np.int64)] = True
+    if rejections:
+        _metrics.inc("decide.rejections", rejections)
     return mask

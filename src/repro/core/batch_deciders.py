@@ -84,10 +84,13 @@ def _parent_entry(ctx: BatchContext, port: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@batch_decider(
-    ("repro.schemes.spanning_tree", "SpanningTreePointerScheme"),
-)
-def _spanning_tree_ptr(scheme, ctx: BatchContext) -> np.ndarray:
+def _pointer_tree(ctx: BatchContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pointer spanning-tree predicate, plus its parsed distances.
+
+    Returns ``(accept, dist_ok, dist)``: the accept mask of
+    ``SpanningTreePointerScheme.verify``; whether each certificate
+    carries a non-negative int distance; and that distance (0 elsewhere).
+    """
     n, code = ctx.n, ctx.code
     shape = np.zeros(n, dtype=bool)
     dist_ok = np.zeros(n, dtype=bool)
@@ -120,7 +123,15 @@ def _spanning_tree_ptr(scheme, ctx: BatchContext) -> np.ndarray:
     else:
         parent_ok = np.zeros(n, dtype=bool)
     nonroot_accept = has_port & (dist > 0) & parent_ok
-    return ok & np.where(state_none, root_accept, nonroot_accept)
+    accept = ok & np.where(state_none, root_accept, nonroot_accept)
+    return accept, dist_ok, dist
+
+
+@batch_decider(
+    ("repro.schemes.spanning_tree", "SpanningTreePointerScheme"),
+)
+def _spanning_tree_ptr(scheme, ctx: BatchContext) -> np.ndarray:
+    return _pointer_tree(ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,44 +141,10 @@ def _spanning_tree_ptr(scheme, ctx: BatchContext) -> np.ndarray:
 
 @batch_decider(("repro.schemes.bfs_tree", "BfsTreeScheme"))
 def _bfs_tree(scheme, ctx: BatchContext) -> np.ndarray:
-    n, code = ctx.n, ctx.code
-    shape = np.zeros(n, dtype=bool)
-    dist_ok = np.zeros(n, dtype=bool)
-    dist = np.zeros(n, dtype=np.int64)
-    root_code = np.full(n, -1, dtype=np.int64)
-    c1_code = np.full(n, -1, dtype=np.int64)
-    dm1_code = np.full(n, -1, dtype=np.int64)
-    for v, cert in enumerate(ctx.certs):
-        if isinstance(cert, tuple) and len(cert) == 2:
-            shape[v] = True
-            root_code[v] = code(cert[0])
-            d = cert[1]
-            c1_code[v] = code(d)
-            if isinstance(d, int) and d >= 0:
-                dist_ok[v] = True
-                dist[v] = ctx.int_value(int(d))
-                dm1_code[v] = code(d - 1)
-    state_none, port = _port_states(ctx)
-
+    accept, dist_ok, dist = _pointer_tree(ctx)
     own, nbr = ctx.csr.owners, ctx.csr.indices
-    bad_nb = (
-        ~shape[nbr]
-        | (root_code[nbr] != root_code[own])
-        | ~dist_ok[nbr]
-        | (np.abs(dist[nbr] - dist[own]) > 1)
-    )
-    ok = shape & dist_ok & ~ctx.any_per_entry(bad_nb)
-
-    uid_code = ctx.uid_codes
-    root_accept = (dist == 0) & (uid_code == root_code)
-    has_port = port >= 0
-    if ctx.csr.num_entries:
-        parent = nbr[_parent_entry(ctx, port)]
-        parent_ok = shape[parent] & (c1_code[parent] == dm1_code)
-    else:
-        parent_ok = np.zeros(n, dtype=bool)
-    nonroot_accept = has_port & (dist > 0) & parent_ok
-    return ok & np.where(state_none, root_accept, nonroot_accept)
+    far_nb = ~dist_ok[nbr] | (np.abs(dist[nbr] - dist[own]) > 1)
+    return accept & ~ctx.any_per_entry(far_nb)
 
 
 # ---------------------------------------------------------------------------

@@ -137,23 +137,38 @@ class ProofLabelingScheme(ABC):
     ) -> Verdict:
         """Verify ``config`` under the given (default: honest) certificates.
 
-        ``views`` (see :func:`repro.core.verifier.decide`) lets callers
-        that re-verify many related assignments reuse prebuilt views.
+        The one decision entry point; it picks the backend from what it
+        is given.  Prebuilt ``views`` (see
+        :func:`repro.core.verifier.decide`) run the per-node path over
+        them — callers that re-verify many related assignments reuse
+        views that way.  Otherwise a scheme type with a registered
+        batched decider (:mod:`repro.core.batch`) decides in one array
+        pass, and everything else — including a
+        :class:`~repro.core.batch.BatchFallback` — runs the per-node
+        oracle.  The verdict's ``backend`` says which path answered.
         """
-        if certificates is None:
-            from repro.core.batch import batch_prove
+        from repro.core.batch import _accept_mask, batch_prove
 
+        if certificates is None:
             with _metrics.span("prove", scheme=self.name):
                 certificates = batch_prove(self, config)
         with _metrics.span("decide", scheme=self.name):
-            return decide(
-                self.verify,
-                config,
-                certificates,
-                visibility=self.visibility,
-                radius=self.radius,
-                views=views,
-                scheme=self,
+            mask = None
+            if views is None:
+                mask = _accept_mask(self, config, certificates)
+            if mask is None:
+                return decide(
+                    self.verify,
+                    config,
+                    certificates,
+                    visibility=self.visibility,
+                    radius=self.radius,
+                    views=views,
+                )
+            return Verdict(
+                accepts=frozenset(mask.nonzero()[0].tolist()),
+                rejects=frozenset((~mask).nonzero()[0].tolist()),
+                backend="array",
             )
 
     def build_views(

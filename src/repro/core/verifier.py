@@ -134,10 +134,16 @@ class LocalView:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of running the verifier at every node."""
+    """Outcome of running the verifier at every node.
+
+    ``backend`` reports which path decided: ``"array"`` (a batched
+    decider) or ``"views"`` (the per-node oracle).  It takes no part in
+    equality — both paths must agree node for node.
+    """
 
     accepts: frozenset[int]
     rejects: frozenset[int]
+    backend: str = field(default="views", compare=False)
 
     @property
     def all_accept(self) -> bool:
@@ -425,9 +431,12 @@ def decide(
     visibility: Visibility = Visibility.KKP,
     radius: int = 1,
     views: Mapping[int, LocalView] | None = None,
-    scheme=None,
 ) -> Verdict:
     """Run ``verify(view) -> bool`` at every node and fold the verdict.
+
+    This is the per-node oracle every batched decider is pinned against;
+    :meth:`~repro.core.scheme.ProofLabelingScheme.run` is the entry point
+    that chooses between it and the array path.
 
     A verifier that raises is treated as rejecting at that node — a
     malformed certificate must never crash verification into acceptance.
@@ -440,25 +449,7 @@ def decide(
     :class:`ViewSet` built under a different visibility or radius raises
     :class:`~repro.errors.SchemeError` instead of silently producing a
     wrong verdict; untagged mappings are trusted.
-
-    ``scheme`` opts the call into the batched array path: when the
-    scheme has a vectorized decider (see :mod:`repro.core.batch`) and no
-    prebuilt views were handed in, the verdict comes from one numpy pass
-    over the CSR mirror instead of n per-node calls.  The batched path
-    is verdict-identical by contract (it falls back here on anything it
-    cannot represent), so callers only ever see a speed difference.
     """
-    if (
-        views is None
-        and scheme is not None
-        and visibility is scheme.visibility
-        and radius == scheme.radius
-    ):
-        from repro.core.batch import try_batch_verdict
-
-        verdict = try_batch_verdict(scheme, config, certificates)
-        if verdict is not None:
-            return verdict
     if views is None:
         views = build_views(config, certificates, visibility, radius)
     else:

@@ -74,23 +74,17 @@ class RejectionCounter:
         self.certificates = (
             dict(certificates) if certificates is not None else scheme.prove(config)
         )
-        if backend == "auto":
-            from repro.core import batch as _batch
+        from repro.core.batch import resolve_backend
 
-            backend = (
-                "array"
-                if _batch.np is not None and _batch.supports_batch(scheme)
-                else "views"
-            )
-        if backend not in ("views", "array"):
+        self.backend = resolve_backend(backend, scheme)
+        if self.backend is None:
             raise SchemeError(
                 f"unknown counter backend {backend!r}; "
                 f"use 'views', 'array' or 'auto'"
             )
-        self.backend = backend
         self._views = (
             scheme.build_views(config, self.certificates)
-            if backend == "views"
+            if self.backend == "views"
             else None
         )
 

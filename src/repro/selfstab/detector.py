@@ -72,6 +72,18 @@ class DetectionReport:
         return bool(self.legitimate) and self.alarmed
 
 
+def _resolve_backend(backend: str, scheme: ProofLabelingScheme) -> str:
+    from repro.core.batch import resolve_backend
+
+    resolved = resolve_backend(backend, scheme)
+    if resolved is None:
+        raise SimulationError(
+            f"unknown detection backend {backend!r}; "
+            f"use 'views', 'array' or 'auto'"
+        )
+    return resolved
+
+
 class PlsDetector:
     """Bind a scheme to a protocol's state decomposition.
 
@@ -92,12 +104,7 @@ class PlsDetector:
     ) -> None:
         self.scheme = scheme
         self.protocol = protocol
-        if backend not in ("views", "array", "auto"):
-            raise SimulationError(
-                f"unknown detection backend {backend!r}; "
-                f"use 'views', 'array' or 'auto'"
-            )
-        self.backend = backend
+        self.backend = _resolve_backend(backend, scheme)
 
     def configuration(
         self, network: Network, states: Mapping[int, Any]
@@ -154,8 +161,6 @@ class PlsDetector:
         """
         if backend is None:
             backend = self.backend
-        if backend == "views":
-            return DetectionSession(self, network, states)
         return DetectionSession(self, network, states, backend=backend)
 
 
@@ -181,11 +186,10 @@ class DetectionSession:
         The incremental dict path above: cached per-node views, O(ball)
         refreshes, per-node verification.
     ``"array"``
-        No views at all.  The session mirrors the register file into
-        per-field numpy columns (:class:`~repro.core.arrays
-        .ArrayLabeling`, one ``set`` per touched node — the same
-        O(ball(k))-per-sweep update contract) and each verdict comes
-        from the scheme's vectorized batched decider
+        No views at all.  Updates touch only the changed nodes' outputs
+        and certificates, and each verdict comes from
+        :meth:`~repro.core.scheme.ProofLabelingScheme.run` without
+        views — the scheme's vectorized batched decider
         (:mod:`repro.core.batch`), which is verdict-identical by
         contract.  Needs numpy; fastest when the scheme supports batch.
     ``"auto"``
@@ -218,37 +222,15 @@ class DetectionSession:
         self._config = Configuration.build(
             network.graph, dict(self._outputs), ids=network.ids
         )
-        if backend == "auto":
-            from repro.core import batch as _batch
-
-            backend = (
-                "array"
-                if _batch.np is not None and _batch.supports_batch(scheme)
-                else "views"
-            )
-        if backend not in ("views", "array"):
-            raise SimulationError(
-                f"unknown detection backend {backend!r}; "
-                f"use 'views', 'array' or 'auto'"
-            )
-        self.backend = backend
+        self.backend = _resolve_backend(backend, scheme)
         self._views: ViewSet | None = None
-        self._registers = None
-        if backend == "views":
+        if self.backend == "views":
             self._views = scheme.build_views(self._config, self._certs)
         else:
             from repro.core import batch as _batch
 
             if _batch.np is None:
-                raise SimulationError(
-                    "the array detection backend needs numpy"
-                )
-            from repro.core.arrays import ArrayLabeling
-
-            self._registers = ArrayLabeling.from_fields(
-                network.graph.n,
-                {"output": self._outputs, "certificate": self._certs},
-            )
+                raise SimulationError("the array detection backend needs numpy")
         self._verdict: Verdict | None = None
 
     # -- state access -------------------------------------------------------
@@ -262,11 +244,6 @@ class DetectionSession:
     def states(self) -> dict[int, Any]:
         """Snapshot of the last-seen registers (a copy)."""
         return dict(self._states)
-
-    @property
-    def registers(self):
-        """The columnar register mirror (array backend only, else None)."""
-        return self._registers
 
     # -- incremental update -------------------------------------------------
 
@@ -317,10 +294,6 @@ class DetectionSession:
                 self._views = self.detector.scheme.refresh_views(
                     self._config, self._certs, self._views, touched
                 )
-            if self._registers is not None:
-                for v in touched:
-                    self._registers.set("output", v, self._outputs[v])
-                    self._registers.set("certificate", v, self._certs[v])
             self._verdict = None
         return touched
 

@@ -23,9 +23,11 @@ returns a structured :class:`CertificationResult`:
    :func:`repro.core.catalog.build` (rng seeded deterministically from
    the body hash, so served verdicts are reproducible bit-for-bit),
    prove honestly when the envelope carries no certificates, and decide
-   on the batched array path (:func:`repro.core.batch.try_batch_verdict`)
-   with automatic per-node fallback.  Per-stage wall-clock timings are
-   recorded through :mod:`repro.obs` spans and returned in the result.
+   through :meth:`~repro.core.scheme.ProofLabelingScheme.run`, the one
+   decision entry point (batched array path with per-node fallback);
+   the result's ``backend`` is the verdict's.  Per-stage wall-clock
+   timings are recorded through :mod:`repro.obs` spans and returned in
+   the result.
 
 With ``workers > 0`` cold misses run on a **sharded process pool**: one
 single-process executor per shard, envelopes routed by graph hash, so
@@ -198,21 +200,7 @@ def _execute(envelope: ProofEnvelope, timings: dict[str, float]) -> dict[str, An
 
             certificates = batch_prove(scheme, config)
     with _stage(timings, "decide"):
-        from repro.core.batch import try_batch_verdict
-
-        verdict = try_batch_verdict(scheme, config, certificates)
-        backend = "array"
-        if verdict is None:
-            from repro.core.verifier import decide
-
-            backend = "views"
-            verdict = decide(
-                scheme.verify,
-                config,
-                certificates,
-                scheme.visibility,
-                scheme.radius,
-            )
+        verdict = scheme.run(config, certificates)
     rejecting = sorted(verdict.rejects)
     return {
         "scheme": envelope.scheme,
@@ -221,7 +209,7 @@ def _execute(envelope: ProofEnvelope, timings: dict[str, float]) -> dict[str, An
         "accepted": not rejecting,
         "rejections": len(rejecting),
         "rejecting": rejecting[:REJECT_SAMPLE],
-        "backend": backend,
+        "backend": verdict.backend,
     }
 
 

@@ -1,11 +1,12 @@
 """The batched array path must agree with the per-node oracle — always.
 
-The contract (see :mod:`repro.core.batch`): whenever the batched decider
-produces a verdict at all, it is node-for-node identical to the per-node
-verifier's, for *every* certificate assignment however malformed; inputs
-the array encoding cannot represent faithfully fall back (return
-``None``) rather than risk a divergent answer.  These tests pin that
-contract registry-wide: every catalog scheme, honest and corrupted and
+The contract (see :mod:`repro.core.batch`): ``scheme.run`` — the one
+decision entry point — answers node-for-node identically to the
+per-node verifier for *every* certificate assignment however malformed,
+whichever backend it picks; inputs the array encoding cannot represent
+faithfully fall back to the oracle (``verdict.backend == "views"``)
+rather than risk a divergent answer.  These tests pin that contract
+registry-wide: every catalog scheme, honest and corrupted and
 adversarially junk-filled registers alike.
 """
 
@@ -20,13 +21,9 @@ np = pytest.importorskip("numpy")
 # Gate first: without numpy the batch path cannot run at all, so every
 # equivalence property below is vacuous.
 from repro.core import catalog  # noqa: E402
-from repro.core.batch import (  # noqa: E402
-    batch_decide,
-    batch_verdict,
-    supports_batch,
-    try_batch_verdict,
-)
-from repro.core.verifier import decide  # noqa: E402
+from repro.core.batch import supports_batch  # noqa: E402
+from repro.core.verifier import Verdict, decide  # noqa: E402
+from repro.obs import metrics as obs  # noqa: E402
 from repro.util.rng import make_rng, spawn  # noqa: E402
 
 #: Values an adversary might write into a register: type confusions the
@@ -67,13 +64,12 @@ def _oracle(scheme, config, certs):
 
 
 def _assert_same(scheme, config, certs, *, require_batch=False):
-    batched = try_batch_verdict(scheme, config, certs)
-    if batched is None:
-        assert not require_batch, f"{type(scheme).__name__} fell back"
-        return
+    verdict = scheme.run(config, certs)
+    if require_batch:
+        assert verdict.backend == "array", f"{type(scheme).__name__} fell back"
     oracle = _oracle(scheme, config, certs)
-    assert batched.accepts == oracle.accepts
-    assert batched.rejects == oracle.rejects
+    assert verdict.accepts == oracle.accepts
+    assert verdict.rejects == oracle.rejects
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -147,35 +143,87 @@ class TestFallbackInputs:
         scheme, config = _fitted(catalog.get("leader"), rng)
         certs = dict(scheme.prove(config))
         certs[0] = (float("nan"), None, 0)
-        assert try_batch_verdict(scheme, config, certs) is None
-        # batch_verdict still answers, via the oracle.
-        verdict = batch_verdict(scheme, config, certs)
-        oracle = _oracle(scheme, config, certs)
-        assert verdict.rejects == oracle.rejects
+        with obs.collect("t") as metrics:
+            verdict = scheme.run(config, certs)
+            # The fallback is charged once, and the oracle's own call is
+            # the only decide.calls (the batched attempt charged none).
+            assert metrics.counter("decide.batch.fallbacks") == 1
+            assert metrics.counter("decide.calls") == 1
+            assert metrics.counter("decide.batch") == 0
+        assert verdict.backend == "views"
+        assert verdict.rejects == _oracle(scheme, config, certs).rejects
 
     def test_huge_int_falls_back(self):
         rng = make_rng(4)
         scheme, config = _fitted(catalog.get("acyclic"), rng)
         certs = dict(scheme.prove(config))
         certs[1] = 2**70
-        batched = try_batch_verdict(scheme, config, certs)
-        if batched is not None:  # an encoding may legitimately handle it
-            oracle = _oracle(scheme, config, certs)
-            assert batched.rejects == oracle.rejects
+        # An encoding may legitimately handle it; either way the verdict
+        # is the oracle's.
+        assert scheme.run(config, certs).rejects == _oracle(
+            scheme, config, certs
+        ).rejects
 
-    def test_batch_decide_mask_matches_run(self):
+    def test_prebuilt_views_run_the_per_node_path(self):
         rng = make_rng(5)
         scheme, config = _fitted(catalog.get("spanning-tree-ptr"), rng)
         certs = scheme.prove(config)
-        mask = batch_decide(scheme, config, certs)
-        verdict = scheme.run(config, certs)
-        assert mask.dtype == bool and mask.shape == (config.graph.n,)
-        assert set(np.flatnonzero(mask)) == set(verdict.accepts)
+        views = scheme.build_views(config, certs)
+        with obs.collect("t") as metrics:
+            verdict = scheme.run(config, certs, views=views)
+            assert metrics.counter("decide.batch") == 0
+        assert verdict.backend == "views"
+        assert verdict == scheme.run(config, certs)
 
-    def test_batch_decide_proves_when_unsupplied(self):
-        rng = make_rng(6)
+
+class TestEntryPointLedger:
+    """``scheme.run`` charges the decide counters exactly once per call,
+    on whichever backend answered."""
+
+    def test_array_run_charges_the_batch_counters(self):
+        rng = make_rng(7)
         scheme, config = _fitted(catalog.get("bfs-tree"), rng)
-        assert bool(batch_decide(scheme, config).all())
+        certs = dict(scheme.prove(config))
+        certs[0] = ("junk", 0)
+        with obs.collect("t") as metrics:
+            verdict = scheme.run(config, certs)
+            counters = {
+                name: metrics.counter(name)
+                for name in (
+                    "decide.calls",
+                    "decide.rejections",
+                    "decide.batch",
+                    "decide.batch.nodes",
+                    "decide.batch.fallbacks",
+                )
+            }
+        assert verdict.backend == "array" and verdict.rejects
+        assert counters == {
+            "decide.calls": 1,
+            "decide.rejections": len(verdict.rejects),
+            "decide.batch": 1,
+            "decide.batch.nodes": config.graph.n,
+            "decide.batch.fallbacks": 0,
+        }
+
+    def test_unsupported_scheme_runs_the_oracle_without_batch_counters(self):
+        rng = make_rng(8)
+        scheme, config = _fitted(catalog.get("mst"), rng)
+        assert not supports_batch(scheme)
+        with obs.collect("t") as metrics:
+            verdict = scheme.run(config)
+            assert metrics.counter("decide.calls") == 1
+            assert metrics.counter("decide.batch") == 0
+            assert metrics.counter("decide.batch.fallbacks") == 0
+        assert verdict.backend == "views" and verdict.all_accept
+
+    def test_backend_takes_no_part_in_equality(self):
+        accepts, rejects = frozenset({0, 2}), frozenset({1})
+        array = Verdict(accepts=accepts, rejects=rejects, backend="array")
+        views = Verdict(accepts=accepts, rejects=rejects)
+        assert views.backend == "views"
+        assert array == views
+        assert hash(array) == hash(views)
 
 
 class TestBackendEquivalence:

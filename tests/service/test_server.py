@@ -2,7 +2,7 @@
 
 The headline property is registry-wide: for every catalog scheme, a
 served verdict (through envelope serialization, parsing, deterministic
-rebuild, and the batched decider) equals the in-process ``decide()``
+rebuild, and ``scheme.run``) equals the per-node oracle ``decide()``
 verdict node-for-node — honest and corrupted labelings alike.  Around
 it: cache semantics, replay rejection, parameter validation, and the
 sharded worker pool.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import catalog
-from repro.core.batch import try_batch_verdict
 from repro.core.labeling import Configuration
 from repro.core.verifier import decide
 from repro.errors import ReplayError, ServiceError
@@ -29,7 +28,7 @@ from repro.util.rng import make_rng
 
 
 def _in_process_verdict(envelope: ProofEnvelope):
-    """What the library computes without the service in the loop."""
+    """The per-node oracle's verdict, without the service in the loop."""
     spec = catalog.get(envelope.scheme)
     scheme = spec.build(
         graph=envelope.graph,
@@ -40,13 +39,9 @@ def _in_process_verdict(envelope: ProofEnvelope):
     certificates = envelope.certificates
     if certificates is None:
         certificates = scheme.prove(config)
-    verdict = try_batch_verdict(scheme, config, certificates)
-    if verdict is None:
-        verdict = decide(
-            scheme.verify, config, certificates,
-            scheme.visibility, scheme.radius,
-        )
-    return verdict
+    return decide(
+        scheme.verify, config, certificates, scheme.visibility, scheme.radius
+    )
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -62,6 +57,9 @@ class TestServedVerdictEquivalence:
         assert result.accepted
         assert verdict.all_accept
         assert result.rejections == len(verdict.rejects) == 0
+        # Honest registers never trip the encoding: the served verdict
+        # comes from the batched decider exactly when one is registered.
+        assert (result.backend == "array") == catalog.get(name).batch
 
     def test_corrupted_verdicts_match(self, name):
         service = CertificationService()

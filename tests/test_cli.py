@@ -274,6 +274,18 @@ class TestProfile:
         assert "decide" in out
         assert "distributed_verification" in out
         assert "all accept = True" in out
+        # mst has no batched decider: the per-node oracle answered.
+        assert "backend=views" in out
+
+    def test_profile_reports_the_array_backend(self, capsys):
+        code = main(["profile", "spanning-tree-ptr", "--n", "16", "--seed", "3"])
+        assert code == 0
+        line = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("verification:")
+        )
+        assert "backend=array" in line
 
     def test_profile_writes_trace(self, tmp_path, capsys):
         from repro.obs.trace import read_trace
