@@ -134,6 +134,13 @@ def _default_sampler(n: int, rng: random.Random) -> Graph:
     return connected_gnp(n, min(0.6, 3.0 / max(3, n)), rng)
 
 
+def _have_numpy() -> bool:
+    """Whether array kernels can run; a declared kernel needs numpy too."""
+    from repro.core.batch import np
+
+    return np is not None
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
     """Catalog entry: metadata plus the fitted-scheme builder.
@@ -191,7 +198,7 @@ class SchemeSpec:
         cached = getattr(self, "_batch_cache", None)
         if cached is None:
             if self.batch_declared is not None:
-                cached = self.batch_declared
+                cached = self.batch_declared and _have_numpy()
             elif self.graph_fitted:
                 cached = False
             else:
@@ -210,7 +217,7 @@ class SchemeSpec:
         cached = getattr(self, "_generate_cache", None)
         if cached is None:
             if self.generate_declared is not None:
-                cached = self.generate_declared
+                cached = self.generate_declared and _have_numpy()
             elif self.graph_fitted:
                 cached = False
             else:

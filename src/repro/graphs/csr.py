@@ -17,9 +17,7 @@ columns the batched deciders need:
     ``ports[j] = j - indptr[owners[j]]`` — the port of entry ``j``.
 ``reverse``
     ``reverse[j]`` is the index of the opposite half-edge (``v`` looking
-    back at ``u``); because the graph is symmetric and entries are
-    sorted by ``(owner, neighbor)``, ``np.lexsort((owners, indices))``
-    produces it directly.
+    back at ``u``).
 ``back_ports``
     ``back_ports[j] = reverse[j] - indptr[indices[j]]`` — the port
     through which the neighbor behind entry ``j`` sees the owner (the
@@ -27,22 +25,31 @@ columns the batched deciders need:
 ``weights``
     Per-half-edge ``float64`` weights, or ``None`` on unweighted graphs.
 
-The structure is built once per graph and cached on it
-(:meth:`Graph.csr`); graphs are immutable, so the cache can never go
-stale.
+One builder, :func:`csr_from_columns`, makes the structure from two
+edge columns with one argsort of the ``owner * n + neighbor`` keys of
+the ``2m`` half-edges; ``reverse`` is that sort's inverse permutation
+read at each half-edge's partner.  It also does the edge checks of
+:class:`~repro.graphs.graph.Graph`, with the same messages.
+:meth:`Graph.from_columns` stores its result as the graph's primary
+storage; a tuple-built graph feeds its edges to the same builder
+(:func:`build_csr`) on the first :meth:`Graph.csr` and keeps the
+result — graphs are immutable, so it can never go stale.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.errors import GraphError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.graphs.graph import Graph
 
-__all__ = ["CSRGraph", "build_csr"]
+__all__ = ["CSRGraph", "build_csr", "csr_from_columns"]
 
 
 @dataclass(frozen=True)
@@ -70,39 +77,56 @@ class CSRGraph:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
 
-def build_csr(graph: "Graph") -> CSRGraph:
-    """The CSR mirror of ``graph`` (prefer the cached :meth:`Graph.csr`)."""
-    n = graph.n
-    degrees = np.fromiter(
-        (graph.degree(u) for u in range(n)), dtype=np.int64, count=n
-    )
+def csr_from_columns(n: int, us, vs, weights=None) -> CSRGraph:
+    """The CSR of the graph on ``0..n-1`` with edges ``(us[i], vs[i])``.
+
+    ``weights``, if given, is a column parallel to ``us``/``vs``.  An
+    invalid column raises the :class:`GraphError` that
+    :class:`~repro.graphs.graph.Graph` raises for the first bad edge in
+    the same order (out of range, self-loop, duplicate in either
+    orientation, or a negative ``n``).
+    """
+    if n < 0:
+        raise GraphError(f"negative node count {n}")
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    if us.shape != vs.shape or us.ndim != 1:
+        raise GraphError("edge columns must be two 1-d columns of equal length")
+    m = us.shape[0]
+    bad = (us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs)
+    if bad.any():
+        _raise_first_invalid(n, us, vs, int(bad.argmax()))
+    del bad
+    # Half-edge h < m is (us[h] -> vs[h]); h >= m is its opposite.
+    owners = np.concatenate((us, vs))
+    indices = np.concatenate((vs, us))
+    key = owners * n + indices
+    # Keys of a valid edge set are distinct, so any sort gives the one
+    # (owner, neighbor) order; a tie is a duplicate and raises below.
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        _raise_first_invalid(n, us, vs, m)
+    del key
+    owners = owners[order]
+    indices = indices[order]
+    half_weights = None
+    if weights is not None:
+        column = np.asarray(weights, dtype=np.float64)
+        half_weights = np.concatenate((column, column))[order]
+    # The opposite of the half-edge sorted to position p is half-edge
+    # order[p] ± m; the inverse permutation says where that one landed.
+    total = 2 * m
+    inverse = np.empty(total, dtype=np.int64)
+    inverse[order] = np.arange(total, dtype=np.int64)
+    order += m
+    order[order >= total] -= total
+    reverse = inverse[order]
+    del inverse, order
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    total = int(indptr[-1])
-    indices = np.empty(total, dtype=np.int64)
-    pos = 0
-    for u in range(n):
-        # Graph.neighbors is already sorted by neighbor index = port order.
-        row = graph.neighbors(u)
-        indices[pos:pos + len(row)] = row
-        pos += len(row)
-    owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
     ports = np.arange(total, dtype=np.int64) - indptr[owners]
-    # Half-edge j = (u -> v) sorted by (u, v); sorting by (v, u) lands on
-    # the opposite half-edge (v -> u), so the stable lexsort *is* the
-    # reverse permutation of a symmetric adjacency.
-    reverse = np.lexsort((owners, indices)).astype(np.int64)
     back_ports = reverse - indptr[indices]
-    weights = None
-    if graph.is_weighted:
-        weights = np.fromiter(
-            (
-                graph.weight(int(owners[j]), int(indices[j]))
-                for j in range(total)
-            ),
-            dtype=np.float64,
-            count=total,
-        )
     return CSRGraph(
         n=n,
         indptr=indptr,
@@ -111,5 +135,41 @@ def build_csr(graph: "Graph") -> CSRGraph:
         ports=ports,
         reverse=reverse,
         back_ports=back_ports,
-        weights=weights,
+        weights=half_weights,
     )
+
+
+def _raise_first_invalid(n: int, us: np.ndarray, vs: np.ndarray, stop: int):
+    """Raise for the first bad edge; each edge before ``stop`` is in
+    range and no self-loop.
+
+    A repeat among them comes first, else the edge at ``stop`` is out of
+    range or a self-loop.  Only error paths get here.
+    """
+    lo = np.minimum(us[:stop], vs[:stop])
+    hi = np.maximum(us[:stop], vs[:stop])
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    repeats = np.flatnonzero(ordered[1:] == ordered[:-1]) + 1
+    if repeats.size:
+        i = int(order[repeats].min())
+        raise GraphError(f"duplicate edge {(int(lo[i]), int(hi[i]))}")
+    u, v = int(us[stop]), int(vs[stop])
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"edge ({u}, {v}) outside node range [0, {n})")
+    raise GraphError(f"self-loop on node {u}")
+
+
+def build_csr(graph: "Graph") -> CSRGraph:
+    """The CSR of a tuple-built ``graph`` (prefer the cached :meth:`Graph.csr`)."""
+    edges = graph.edges()
+    m = len(edges)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * m
+    ).reshape(m, 2)
+    weights = None
+    if graph.is_weighted:
+        table = graph.weights()
+        weights = np.fromiter((table[e] for e in edges), dtype=np.float64, count=m)
+    return csr_from_columns(graph.n, flat[:, 0], flat[:, 1], weights)

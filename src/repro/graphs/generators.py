@@ -125,29 +125,29 @@ def random_tree(n: int, rng: random.Random | None = None) -> Graph:
     if n <= 2:
         return path_graph(n)
     sequence = [rng.randrange(n) for _ in range(n - 2)]
-    return _tree_from_pruefer(sequence, n)
-
-
-def _tree_from_pruefer(sequence: list[int], n: int) -> Graph:
+    # Linear-time Prüfer decoding: ``leaf`` is always the smallest
+    # current leaf, either the node just reduced to degree 1 (if below
+    # the scan pointer) or the next degree-1 node past the pointer.
     degree = [1] * n
     for v in sequence:
         degree[v] += 1
-    edges: list[Edge] = []
-    import heapq
-
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    pointer = degree.index(1)
+    leaf = pointer
+    leaves = []
     for v in sequence:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[leaf] -= 1
+        leaves.append(leaf)
         degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((u, w))
-    return Graph(n, edges)
+        if degree[v] == 1 and v < pointer:
+            leaf = v
+        else:
+            pointer += 1
+            while degree[pointer] != 1:
+                pointer += 1
+            leaf = pointer
+    # The last two leaves are ``leaf`` and node n-1, never removed earlier.
+    leaves.append(leaf)
+    sequence.append(n - 1)
+    return Graph.from_columns(n, leaves, sequence)
 
 
 def caterpillar(spine: int, legs_per_node: int = 1) -> Graph:

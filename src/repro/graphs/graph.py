@@ -1,4 +1,4 @@
-"""A small, dependency-free undirected graph type.
+"""The immutable undirected graph type.
 
 The library models networks as simple connected undirected graphs, as the
 paper assumes: no self-loops, no parallel edges.  Nodes are the integers
@@ -6,6 +6,15 @@ paper assumes: no self-loops, no parallel edges.  Nodes are the integers
 :mod:`repro.util.idspace`), edges may carry weights, and each node sees
 its incident edges through *ports* ``0..deg-1`` ordered by neighbor
 index, matching the port-numbering convention of the LOCAL model.
+
+A graph stores one of two representations and fills in the other on
+demand.  :class:`Graph` built from an edge iterable stores sorted edge
+and adjacency tuples, and builds its CSR columns (see
+:mod:`repro.graphs.csr`) on the first :meth:`Graph.csr`.
+:meth:`Graph.from_columns` builds the CSR straight from two edge
+columns and derives the tuples on their first read, so a pipeline that
+only reads the CSR never pays for a million Python tuples.  numpy is a
+soft dependency: without it every graph is tuple-built.
 
 The class is immutable after construction: every mutation-flavoured
 operation (:meth:`Graph.add_edges`, :meth:`Graph.remove_edges`,
@@ -19,7 +28,7 @@ core never imports it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import GraphError
 
@@ -46,8 +55,9 @@ class Graph:
         Iterable of ``(u, v)`` pairs; order and duplicates-with-same-key
         are rejected to surface generator bugs early.
     weights:
-        Optional mapping from canonical edge to a numeric weight.  A graph
-        either weights every edge or none of them.
+        Optional mapping from edge to a numeric weight, each edge keyed
+        once in either orientation.  A graph either weights every edge or
+        none of them.
     """
 
     __slots__ = ("_n", "_adj", "_weights", "_edges", "_csr")
@@ -82,7 +92,12 @@ class Graph:
         if weights is None:
             self._weights: dict[Edge, float] | None = None
         else:
-            normalised = {edge_key(u, v): w for (u, v), w in weights.items()}
+            normalised: dict[Edge, float] = {}
+            for (u, v), w in weights.items():
+                key = edge_key(u, v)
+                if key in normalised:
+                    raise GraphError(f"edge {key} given two weights")
+                normalised[key] = w
             missing = seen - set(normalised)
             if missing:
                 raise GraphError(f"edges without weight: {sorted(missing)[:5]}")
@@ -90,6 +105,45 @@ class Graph:
             if extra:
                 raise GraphError(f"weights for absent edges: {sorted(extra)[:5]}")
             self._weights = normalised
+
+    @classmethod
+    def from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> "Graph":
+        """The unweighted graph with edges ``(us[i], vs[i])``.
+
+        Equal to ``Graph(n, zip(us, vs))`` and rejects the same inputs
+        with the same messages, but stores only the CSR columns; the
+        edge and adjacency tuples are derived on their first read.
+        Without numpy it is exactly ``Graph(n, zip(us, vs))``.
+        """
+        try:
+            from repro.graphs.csr import csr_from_columns
+        except ImportError:
+            return cls(n, zip(us, vs))
+        csr = csr_from_columns(n, us, vs)
+        graph = cls.__new__(cls)
+        graph._n = n
+        graph._weights = None
+        graph._csr = csr
+        return graph
+
+    def __getattr__(self, name: str):
+        # Only reached for unset slots: a columns-built graph leaves
+        # ``_edges`` and ``_adj`` unset until something reads one.  Both
+        # are computed before either is stored, so threads racing here
+        # store equal values.
+        if name not in ("_edges", "_adj"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        csr = self._csr
+        forward = csr.owners < csr.indices
+        edges = tuple(zip(csr.owners[forward].tolist(), csr.indices[forward].tolist()))
+        flat = csr.indices.tolist()
+        bounds = csr.indptr.tolist()
+        adj = tuple(tuple(flat[bounds[u] : bounds[u + 1]]) for u in range(self._n))
+        self._edges = edges
+        self._adj = adj
+        return edges if name == "_edges" else adj
 
     # -- basic queries ------------------------------------------------------
 
@@ -130,6 +184,7 @@ class Graph:
 
     def port(self, u: int, v: int) -> int:
         """Port number through which ``u`` sees neighbor ``v``."""
+        self._check_node(u)
         try:
             return self._adj[u].index(v)
         except ValueError:
@@ -143,11 +198,12 @@ class Graph:
         return self._adj[u][port]
 
     def csr(self):
-        """The cached CSR mirror (see :mod:`repro.graphs.csr`).
+        """The graph's CSR columns (see :mod:`repro.graphs.csr`).
 
-        Built on first use and memoised for the graph's lifetime —
-        graphs are immutable, so the cache can never go stale.  The
-        numpy import stays local: the dict core never pays for it.
+        A columns-built graph stores them from construction; a
+        tuple-built one builds them on first use and keeps them for its
+        lifetime — graphs are immutable, so they can never go stale.
+        The numpy import stays local: the dict core never pays for it.
         """
         if self._csr is None:
             from repro.graphs.csr import build_csr

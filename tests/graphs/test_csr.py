@@ -8,12 +8,19 @@ np = pytest.importorskip("numpy")
 
 # The gate above must run before repro.graphs.csr (which imports numpy
 # unconditionally), hence the post-gate imports.
+import copy  # noqa: E402
+import pickle  # noqa: E402
+import sys  # noqa: E402
+import threading  # noqa: E402
+
+from repro.errors import GraphError  # noqa: E402
 from repro.graphs.csr import build_csr  # noqa: E402
 from repro.graphs.generators import (  # noqa: E402
     connected_gnp,
     cycle_graph,
     grid_graph,
     path_graph,
+    random_tree,
     star_graph,
 )
 from repro.graphs.graph import Graph  # noqa: E402
@@ -65,6 +72,7 @@ def _assert_mirrors(graph):
         Graph(5, [(0, 1), (3, 4)]),  # node 2 isolated
         Graph(4),  # no edges at all
         Graph(0),  # empty graph
+        random_tree(40, make_rng(4)),  # columns-built
     ],
     ids=[
         "single-node",
@@ -77,6 +85,7 @@ def _assert_mirrors(graph):
         "isolated-middle",
         "edgeless",
         "empty",
+        "columns-random-tree",
     ],
 )
 def test_round_trip(graph):
@@ -108,3 +117,113 @@ def test_isolated_nodes_have_empty_rows():
     csr = graph.csr()
     assert csr.neighbors(2).size == 0
     assert csr.degrees().tolist() == [1, 1, 0, 1, 1]
+
+
+CSR_COLUMNS = ("indptr", "indices", "owners", "ports", "reverse", "back_ports")
+
+
+def _shuffled_columns(graph, seed):
+    """``graph``'s edges as two columns, in random order and orientation."""
+    rng = make_rng(seed)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges()]
+    rng.shuffle(edges)
+    return [u for u, _ in edges], [v for _, v in edges]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        Graph(0),
+        Graph(4),
+        Graph(5, [(0, 1), (3, 4)]),
+        star_graph(7),
+        grid_graph(4, 5),
+        connected_gnp(30, 0.2, make_rng(2)),
+        random_tree(200, make_rng(8)),
+    ],
+    ids=["empty", "edgeless", "isolated-middle", "star", "grid", "gnp", "tree"],
+)
+def test_from_columns_equals_tuple_built(graph):
+    us, vs = _shuffled_columns(graph, seed=graph.n)
+    expected = Graph(graph.n, zip(us, vs))
+    built = Graph.from_columns(graph.n, us, vs)
+    # The CSR first, while the tuples are still underived.
+    fresh = build_csr(expected)
+    for name in CSR_COLUMNS:
+        column = getattr(built.csr(), name)
+        assert column.dtype == getattr(fresh, name).dtype
+        assert column.tolist() == getattr(fresh, name).tolist(), name
+    assert built.csr().weights is None
+    assert built == expected and hash(built) == hash(expected)
+    assert built.edges() == expected.edges()
+    assert built.num_edges == expected.num_edges
+    assert built.max_degree() == expected.max_degree()
+    for u in graph.nodes:
+        assert built.neighbors(u) == expected.neighbors(u)
+    for u, v in expected.edges():
+        assert built.port(u, v) == expected.port(u, v)
+        assert built.port(v, u) == expected.port(v, u)
+
+
+def test_columns_built_graph_copies_and_pickles():
+    graph = Graph.from_columns(4, [0, 2, 1], [1, 1, 3])
+    for clone in (copy.copy(graph), copy.deepcopy(graph)):
+        assert clone == graph
+    assert pickle.loads(pickle.dumps(graph)) == graph
+
+
+def test_racing_first_reads_see_one_graph():
+    expected = random_tree(3000, make_rng(6))
+    us, vs = _shuffled_columns(expected, seed=6)
+    graph = Graph.from_columns(expected.n, us, vs)
+    seen = []
+
+    def read():
+        seen.append((graph.edges(), [graph.neighbors(u) for u in graph.nodes]))
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    adjacency = [expected.neighbors(u) for u in expected.nodes]
+    assert seen == [(expected.edges(), adjacency)] * len(threads)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (3, [(0, 1), (1, 3)]),
+        (3, [(0, 1), (-1, 2)]),
+        (3, [(0, 1), (2, 2)]),
+        (3, [(0, 1), (1, 2), (0, 1)]),
+        (3, [(0, 1), (1, 2), (1, 0)]),
+        (4, [(1, 0), (2, 3), (0, 1), (3, 2)]),  # the first repeat is reported
+        (4, [(0, 1), (1, 0), (2, 9)]),  # a repeat before a range error
+        (4, [(0, 1), (3, 3), (1, 0)]),  # a self-loop before a repeat
+        (-1, []),
+    ],
+    ids=[
+        "out-of-range",
+        "negative-node",
+        "self-loop",
+        "duplicate",
+        "reversed-duplicate",
+        "two-duplicates",
+        "duplicate-then-range",
+        "self-loop-then-duplicate",
+        "negative-n",
+    ],
+)
+def test_from_columns_error_messages_match(n, edges):
+    with pytest.raises(GraphError) as expected:
+        Graph(n, edges)
+    with pytest.raises(GraphError) as got:
+        Graph.from_columns(n, [u for u, _ in edges], [v for _, v in edges])
+    assert str(got.value) == str(expected.value)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from repro.graphs.generators import (
     star_graph,
     torus_graph,
 )
+from repro.graphs.graph import Graph
 from repro.graphs.traversal import diameter, is_connected
 from repro.util.rng import make_rng
 
@@ -116,6 +118,20 @@ class TestRandomFamilies:
         assert g.n == n
         assert g.num_edges == n - 1 if n > 0 else 0
         assert is_connected(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 9, 2024])
+    def test_random_tree_is_the_pruefer_decode_of_its_draws(self, n, seed):
+        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        graph = random_tree(n, rng)
+        draws = [oracle_rng.randrange(n) for _ in range(n - 2)]
+        if n >= 2:
+            expected = Graph.from_networkx(nx.from_prufer_sequence(draws))
+        else:
+            expected = path_graph(1)
+        assert graph == expected
+        # Same draws, so the rng is left at the same position.
+        assert rng.random() == oracle_rng.random()
 
     def test_random_tree_deterministic(self):
         assert random_tree(20, make_rng(9)) == random_tree(20, make_rng(9))

@@ -62,6 +62,13 @@ class TestQueries:
         with pytest.raises(GraphError):
             g.port(0, 2)
 
+    @pytest.mark.parametrize("u", [-1, 5])
+    def test_port_checks_owner_range(self, u):
+        # -1 must not index the adjacency from its end.
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="outside"):
+            g.port(u, 1)
+
     def test_neighbor_at_invalid_port(self):
         g = Graph(3, [(0, 1)])
         with pytest.raises(GraphError):
@@ -88,6 +95,10 @@ class TestWeights:
     def test_missing_weight_rejected(self):
         with pytest.raises(GraphError):
             Graph(3, [(0, 1), (1, 2)], {(0, 1): 5})
+
+    def test_conflicting_weights_rejected(self):
+        with pytest.raises(GraphError, match="two weights"):
+            Graph(2, [(0, 1)], {(0, 1): 1.0, (1, 0): 2.0})
 
     def test_extra_weight_rejected(self):
         with pytest.raises(GraphError):
