@@ -10,19 +10,23 @@ registers, then O(n + m) array arithmetic, no views at all.
 The dict path stays the *semantic oracle*: a batched decider must
 return, for every certificate assignment however malformed, exactly the
 accept set the per-node verifier produces (the registry-wide
-equivalence property test pins this).  Two mechanisms make that
+equivalence property test pins this).  Three mechanisms make that
 tractable:
 
-* :class:`ObjectCodes` interns arbitrary register values into dense
-  ``int64`` codes through a dict, so "same code" means exactly what
-  ``==`` means for dict keys (``1 == True == 1.0`` intern together,
-  just as the per-node verifier's ``==`` sees them).  Values a dict
-  cannot faithfully intern — unhashable objects, non-reflexive values
-  like ``nan`` — raise :class:`BatchFallback`.
-* :class:`BatchFallback` aborts the whole batched attempt; the caller
-  reruns the per-node oracle, so exotic inputs cost speed, never
-  correctness.  Plain ints wider than 62 bits fall back the same way
-  (they would overflow the ``int64`` columns).
+* Columns are read as they are.  A marker-built configuration keeps its
+  state and id columns, honest tree provers return
+  :class:`~repro.core.arrays.CertificateColumns`, and the shared
+  decoders (:func:`pointer_states`, :func:`bool_states`,
+  :meth:`BatchContext.tree_certificates`) use their ``int64`` values
+  directly as codes, with explicit validity masks.
+* :class:`ObjectCodes` serves only dicts and object values.  It interns
+  register values into dense ``int64`` codes through a dict, so "same
+  code" means exactly what ``==`` means for dict keys (``1 == True ==
+  1.0`` intern together, as the per-node verifier's ``==`` sees them).
+* :class:`BatchFallback` aborts the whole batched attempt and the
+  caller reruns the per-node oracle, so exotic inputs — unhashable or
+  non-reflexive values, ints wider than 62 bits — cost speed, never
+  correctness.
 
 This module does not choose between the two paths:
 :meth:`~repro.core.scheme.ProofLabelingScheme.run` is the one decision
@@ -30,30 +34,23 @@ entry point.  It asks :func:`_accept_mask` for the batched mask, runs
 the per-node oracle when there is none, and records which path answered
 in :attr:`~repro.core.verifier.Verdict.backend`.
 
-Deciders register per concrete scheme *type* (exact match — a subclass
-with an overridden ``verify`` must register itself) in
-:mod:`repro.core.batch_deciders`, which is imported lazily on first
-dispatch to keep ``repro.core`` import-cycle-free.  numpy itself is
-optional at import time: without it every scheme simply reports
-``supports_batch() == False`` and verification stays on the dict path.
-
-The *generation* side mirrors the same design.  Marker kernels
-(vectorized ``canonical_labeling`` per concrete language type) and
-prover kernels (vectorized ``prove`` per concrete scheme type) register
-in :mod:`repro.core.batch_markers` under the same ``(module, qualname)``
-exact-class dispatch, and the dict path stays the oracle: a marker
-kernel must reproduce the canonical labeling — and the rng stream
-position, and any exception — bit for bit, and a prover kernel must
-return exactly ``scheme.prove``'s certificates (pinned by
-``tests/core/test_batch_generation.py``).  One extra contract keeps the
-fallback sound: a marker kernel may raise :class:`BatchFallback` only
-*before* consuming ``rng`` (the fallback reruns the dict path on the
-same generator); prover kernels take no rng and may fall back freely.
+Kernels register per concrete class by exact ``(module, qualname)``
+match — deciders in :mod:`repro.core.batch_deciders`, marker
+(``canonical_labeling``) and prover (``prove``) kernels in
+:mod:`repro.core.batch_markers` — and those modules are imported on
+first dispatch, keeping ``repro.core`` import-cycle-free.  Without
+numpy no kernel is found and everything stays on the dict path.  A
+marker kernel must reproduce the canonical labeling, the rng stream
+position and any exception bit for bit, and may raise
+:class:`BatchFallback` only *before* consuming ``rng``; a prover kernel
+must return exactly ``scheme.prove``'s certificates (pinned by
+``tests/core/test_batch_generation.py``) and may fall back freely.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+import importlib
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 try:
     import numpy as np
@@ -74,11 +71,15 @@ __all__ = [
     "BatchContext",
     "BatchFallback",
     "ObjectCodes",
+    "TreeCertificates",
     "batch_decider",
     "batch_marker",
     "batch_prove",
     "batch_prover",
+    "bool_states",
+    "pointer_states",
     "resolve_backend",
+    "state_list",
     "supports_batch",
     "supports_batch_marker",
     "supports_batch_prove",
@@ -116,6 +117,9 @@ class ObjectCodes:
     def __init__(self) -> None:
         self._table: dict[Any, int] = {}
 
+    def __len__(self) -> int:
+        return len(self._table)
+
     def code(self, obj: Any) -> int:
         try:
             if obj != obj:
@@ -129,42 +133,127 @@ class ObjectCodes:
             ) from None
 
 
+class TreeCertificates(NamedTuple):
+    """Tuple certificates ``(uid, ..., uid, dist, ...)`` as code columns.
+
+    ``shape[v]``: node ``v``'s certificate is a tuple of the expected
+    width.  Where it is, ``fields[i][v]`` codes the ``i``-th uid entry
+    and ``dist_code[v]`` the dist entry; where ``dist_ok`` also holds
+    (that entry is an int >= 0), ``dist[v]`` is the int (0 elsewhere)
+    and ``dm1_code[v]``/``dp1_code[v]`` code ``dist - 1``/``dist + 1``.
+    ``uid`` codes every node's own uid in the same space.  Codes are
+    equal exactly when the values are ``==``; cells outside their mask
+    are arbitrary, so every comparison must be masked.
+    """
+
+    shape: "np.ndarray"
+    fields: "list[np.ndarray]"
+    dist_ok: "np.ndarray"
+    dist: "np.ndarray"
+    dist_code: "np.ndarray"
+    dm1_code: "np.ndarray"
+    dp1_code: "np.ndarray"
+    uid: "np.ndarray"
+
+
 class BatchContext:
     """Shared per-call working set handed to every batched decider."""
 
-    __slots__ = ("config", "graph", "csr", "n", "states", "certs", "codes",
-                 "_uid_codes")
+    __slots__ = ("config", "graph", "csr", "n", "certificates", "codes",
+                 "_states", "_certs", "_uid_codes")
 
-    def __init__(
-        self, config: "Configuration", certificates: Mapping[int, Any]
-    ) -> None:
+    def __init__(self, config: "Configuration", certificates: Mapping[int, Any]):
         self.config = config
         self.graph = config.graph
         self.csr = config.graph.csr()
         self.n = config.graph.n
-        # Mirrors the view scaffold exactly: a node without an entry in
-        # ``certificates`` verifies against ``None``.
-        self.states = [config.state(v) for v in range(self.n)]
-        self.certs = [certificates.get(v) for v in range(self.n)]
+        self.certificates = certificates
         self.codes = ObjectCodes()
-        self._uid_codes = None
+        self._states = self._certs = self._uid_codes = None
+
+    # -- per-value inputs (built on first use) -------------------------------
+
+    @property
+    def states(self) -> list[Any]:
+        """Every node's state, in node order."""
+        if self._states is None:
+            self._states = state_list(self.config)
+        return self._states
+
+    @property
+    def certs(self) -> list[Any]:
+        """Every node's certificate; ``None`` where ``certificates`` has
+        no entry, mirroring the view scaffold."""
+        if self._certs is None:
+            get = self.certificates.get
+            self._certs = [get(v) for v in range(self.n)]
+        return self._certs
 
     # -- encode helpers ------------------------------------------------------
 
     def code(self, obj: Any) -> int:
         return self.codes.code(obj)
 
+    def codes_of(self, values: Iterable[Any]) -> "np.ndarray":
+        """``int64`` column of the interned per-node ``values``."""
+        code = self.codes.code
+        return np.fromiter((code(x) for x in values), np.int64, count=self.n)
+
     @property
     def uid_codes(self) -> "np.ndarray":
         """``int64`` column of interned node uids."""
         if self._uid_codes is None:
-            config, code = self.config, self.codes.code
-            self._uid_codes = np.fromiter(
-                (code(config.uid(v)) for v in range(self.n)),
-                dtype=np.int64,
-                count=self.n,
-            )
+            uid = self.config.uid
+            self._uid_codes = self.codes_of(uid(v) for v in range(self.n))
         return self._uid_codes
+
+    def tree_certificates(self, width: int, dist_at: int) -> TreeCertificates:
+        """The certificates decoded as ``width``-tuples whose entry
+        ``dist_at`` is a distance and whose earlier entries are uids.
+
+        :class:`~repro.core.arrays.CertificateColumns` with ``int64``
+        fields (distances below ``2**62``, so ``dist + 1`` cannot wrap)
+        under an ``int64`` id column decode with no per-node work: the
+        raw values are the codes.  Any other input interns value by
+        value, as the per-node parse reads it.
+        """
+        from repro.core.arrays import CertificateColumns
+
+        n, certs, uid = self.n, self.certificates, self.config.id_column
+        if isinstance(certs, CertificateColumns) and uid is not None:
+            names = certs.arrays.fields
+            columns = [certs.arrays.column(name) for name in names]
+            if (
+                len(columns) == width
+                and all(c.dtype == np.int64 for c in (uid, *columns))
+                and all(certs.arrays.nulls(name) is None for name in names)
+                and columns[dist_at].max(initial=0) < 1 << _INT_BITS
+            ):
+                raw = columns[dist_at]
+                ok = raw >= 0
+                shape, dist = np.ones(n, dtype=bool), np.where(ok, raw, 0)
+                fields = columns[:dist_at]
+                return TreeCertificates(
+                    shape, fields, ok, dist, raw, raw - 1, raw + 1, uid
+                )
+        code = self.code
+        shape, ok = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        dist, dist_code, dm1, dp1 = (np.zeros(n, dtype=np.int64) for _ in range(4))
+        fields = [np.zeros(n, dtype=np.int64) for _ in range(dist_at)]
+        for v, cert in enumerate(self.certs):
+            if isinstance(cert, tuple) and len(cert) == width:
+                shape[v] = True
+                for field, value in zip(fields, cert):
+                    field[v] = code(value)
+                d = cert[dist_at]
+                dist_code[v] = code(d)
+                if isinstance(d, int) and d >= 0:
+                    ok[v] = True
+                    dist[v] = self.int_value(int(d))
+                    dm1[v], dp1[v] = code(d - 1), code(d + 1)
+        return TreeCertificates(
+            shape, fields, ok, dist, dist_code, dm1, dp1, self.uid_codes
+        )
 
     def int_value(self, value: int) -> int:
         """``value`` as a plain int for an int64 column, or fall back."""
@@ -180,9 +269,7 @@ class BatchContext:
         ``bincount`` over owners, not ``reduceat`` — isolated nodes
         (empty segments) come out False/True correctly by construction.
         """
-        return (
-            np.bincount(self.csr.owners[entry_mask], minlength=self.n) > 0
-        )
+        return np.bincount(self.csr.owners[entry_mask], minlength=self.n) > 0
 
     def all_per_entry(self, entry_mask: "np.ndarray") -> "np.ndarray":
         """Per-node AND over each node's entries (empty = True)."""
@@ -190,13 +277,113 @@ class BatchContext:
 
 
 # ---------------------------------------------------------------------------
-# The decider registry.
+# State decoders shared by the deciders and the prover kernels.
+# ---------------------------------------------------------------------------
+
+
+def state_list(config: "Configuration") -> list[Any]:
+    """Every node's state, in node order."""
+    arrays = config.labeling.arrays
+    if arrays is not None:
+        return arrays.values("state")
+    return [config.state(v) for v in range(config.graph.n)]
+
+
+def _state_column(config: "Configuration"):
+    """``(column, nulls)`` of a column-built labeling, else ``(None, None)``."""
+    arrays = config.labeling.arrays
+    if arrays is None:
+        return None, None
+    return arrays.column("state"), arrays.nulls("state")
+
+
+def pointer_states(config: "Configuration"):
+    """``(state_none, port, parent)`` of pointer-style states.
+
+    ``port[v]`` is the port node ``v``'s state names and ``parent[v]``
+    the neighbor behind it, both ``-1`` where the state is not a valid
+    port (``isinstance(state, int)`` admits bools, as the per-node
+    decoders do) — the decoding of ``pointers_from_ports``.
+    """
+    n, csr = config.graph.n, config.graph.csr()
+    degrees = csr.degrees()
+    column, nulls = _state_column(config)
+    if column is not None and column.dtype in (np.int64, bool):
+        state_none = np.zeros(n, dtype=bool) if nulls is None else nulls.copy()
+        values = column.astype(np.int64)
+        valid = ~state_none & (values >= 0) & (values < degrees)
+        port = np.where(valid, values, -1)
+    else:
+        state_none = np.zeros(n, dtype=bool)
+        port = np.full(n, -1, dtype=np.int64)
+        for v, state in enumerate(state_list(config)):
+            if state is None:
+                state_none[v] = True
+            elif isinstance(state, int) and 0 <= state < int(degrees[v]):
+                port[v] = int(state)
+    sel = np.flatnonzero(port >= 0)
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[sel] = csr.indices[csr.indptr[sel] + port[sel]]
+    return state_none, port, parent
+
+
+def bool_states(config: "Configuration") -> tuple["np.ndarray", "np.ndarray"]:
+    """``(is_bool, marked)``: which states are bools, and which are ``True``."""
+    n = config.graph.n
+    column, _ = _state_column(config)
+    if column is not None and column.dtype == bool:
+        return np.ones(n, dtype=bool), column.copy()
+    if column is not None and column.dtype == np.int64:
+        return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    is_bool = np.zeros(n, dtype=bool)
+    marked = np.zeros(n, dtype=bool)
+    for v, state in enumerate(state_list(config)):
+        if isinstance(state, bool):
+            is_bool[v] = True
+            marked[v] = state
+    return is_bool, marked
+
+
+# ---------------------------------------------------------------------------
+# The kernel registries: deciders, markers and provers.
 # ---------------------------------------------------------------------------
 
 #: ``(module, qualname)`` of a scheme class -> decider
 #: ``(scheme, ctx) -> bool ndarray``.
 _DECIDERS: dict[tuple[str, str], Callable[..., Any]] = {}
-_loaded = False
+#: ``(module, qualname)`` of a *language* class -> marker kernel
+#: ``(language, graph, ids, rng) -> ArrayLabeling``.
+_MARKERS: dict[tuple[str, str], Callable[..., Any]] = {}
+#: ``(module, qualname)`` of a scheme class -> prover kernel
+#: ``(scheme, config) -> Mapping[int, Any]``.
+_PROVERS: dict[tuple[str, str], Callable[..., Any]] = {}
+#: Kernel modules imported so far (each registers on import).
+_loaded: set[str] = set()
+
+
+def _register(table: dict, class_paths: tuple[tuple[str, str], ...]):
+    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
+        for path in class_paths:
+            table[path] = fn
+        return fn
+
+    return decorate
+
+
+def _kernel(table: dict, module: str, obj: Any) -> Callable[..., Any] | None:
+    """``obj``'s exact class's kernel in ``table``, importing ``module``
+    (whose import fills the table) on first use."""
+    if np is None:
+        return None
+    if module not in _loaded:
+        _loaded.add(module)
+        try:
+            importlib.import_module(module)
+        except BaseException:
+            _loaded.discard(module)
+            raise
+    cls = type(obj)
+    return table.get((cls.__module__, cls.__qualname__))
 
 
 def batch_decider(*class_paths: tuple[str, str]):
@@ -211,38 +398,62 @@ def batch_decider(*class_paths: tuple[str, str]):
     that keep it (e.g. the FF17 repair re-registering the list scheme)
     opt in by listing their own path.
     """
-
-    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        for path in class_paths:
-            _DECIDERS[path] = fn
-        return fn
-
-    return decorate
+    return _register(_DECIDERS, class_paths)
 
 
-def _ensure_deciders() -> None:
-    global _loaded
-    if _loaded:
-        return
-    _loaded = True
-    try:
-        import repro.core.batch_deciders  # noqa: F401
-    except BaseException:
-        _loaded = False
-        raise
+def batch_marker(*class_paths: tuple[str, str]):
+    """Register a marker kernel for the named concrete language classes.
+
+    A marker kernel computes the language's ``canonical_labeling`` as an
+    :class:`~repro.core.arrays.ArrayLabeling` — same values, same rng
+    consumption, same exceptions as the dict path, node for node.  It
+    may raise :class:`BatchFallback` only *before* consuming ``rng``
+    (the dispatcher reruns the dict path on the same generator), and on
+    success its labeling must be a member by construction: the batched
+    path skips ``is_member``, which is where the large-n win lives.
+    Dispatch is by exact class identity, as with deciders.
+    """
+    return _register(_MARKERS, class_paths)
+
+
+def batch_prover(*class_paths: tuple[str, str]):
+    """Register a prover kernel for the named concrete scheme classes.
+
+    A prover kernel returns exactly ``scheme.prove(config)``'s
+    certificates (total, best-effort off-language, same values on junk
+    states), as a dict or as
+    :class:`~repro.core.arrays.CertificateColumns`.  It takes no rng, so
+    it may raise :class:`BatchFallback` at any point; the dispatcher
+    reruns the dict prover.
+    """
+    return _register(_PROVERS, class_paths)
 
 
 def decider_for(scheme: "ProofLabelingScheme") -> Callable[..., Any] | None:
-    if np is None:
-        return None
-    _ensure_deciders()
-    cls = type(scheme)
-    return _DECIDERS.get((cls.__module__, cls.__qualname__))
+    return _kernel(_DECIDERS, "repro.core.batch_deciders", scheme)
+
+
+def marker_for(language: "DistributedLanguage") -> Callable[..., Any] | None:
+    return _kernel(_MARKERS, "repro.core.batch_markers", language)
+
+
+def prover_for(scheme: "ProofLabelingScheme") -> Callable[..., Any] | None:
+    return _kernel(_PROVERS, "repro.core.batch_markers", scheme)
 
 
 def supports_batch(scheme: "ProofLabelingScheme") -> bool:
     """True when ``scheme`` has a registered vectorized decider."""
     return decider_for(scheme) is not None
+
+
+def supports_batch_marker(language: "DistributedLanguage") -> bool:
+    """True when ``language`` has a registered vectorized marker."""
+    return marker_for(language) is not None
+
+
+def supports_batch_prove(scheme: "ProofLabelingScheme") -> bool:
+    """True when ``scheme`` has a registered vectorized prover."""
+    return prover_for(scheme) is not None
 
 
 def resolve_backend(backend: str, scheme: "ProofLabelingScheme") -> str | None:
@@ -257,98 +468,6 @@ def resolve_backend(backend: str, scheme: "ProofLabelingScheme") -> str | None:
     return backend if backend in ("views", "array") else None
 
 
-# ---------------------------------------------------------------------------
-# The generation registries: batched markers and provers.
-# ---------------------------------------------------------------------------
-
-#: ``(module, qualname)`` of a *language* class -> marker kernel
-#: ``(language, graph, ids, rng) -> ArrayLabeling``.
-_MARKERS: dict[tuple[str, str], Callable[..., Any]] = {}
-#: ``(module, qualname)`` of a *scheme* class -> prover kernel
-#: ``(scheme, config) -> dict[int, Any]``.
-_PROVERS: dict[tuple[str, str], Callable[..., Any]] = {}
-_generators_loaded = False
-
-
-def batch_marker(*class_paths: tuple[str, str]):
-    """Register a marker kernel for the named concrete language classes.
-
-    A marker kernel computes the language's ``canonical_labeling`` as an
-    :class:`~repro.core.arrays.ArrayLabeling` — same values, same rng
-    consumption, same exceptions as the dict path, node for node.  It
-    may raise :class:`BatchFallback` only *before* consuming ``rng``
-    (the dispatcher reruns the dict path on the same generator), and on
-    success its labeling must be a member by construction: the batched
-    path skips ``is_member``, which is where the large-n win lives.
-    Dispatch is by exact class identity, as with deciders: a subclass
-    that changes ``canonical_labeling`` must not inherit a kernel for
-    the wrong distribution.
-    """
-
-    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        for path in class_paths:
-            _MARKERS[path] = fn
-        return fn
-
-    return decorate
-
-
-def batch_prover(*class_paths: tuple[str, str]):
-    """Register a prover kernel for the named concrete scheme classes.
-
-    A prover kernel returns exactly ``scheme.prove(config)``'s
-    certificate dict (total, best-effort off-language, same values on
-    junk states).  It takes no rng, so it may raise
-    :class:`BatchFallback` at any point; the dispatcher reruns the dict
-    prover.
-    """
-
-    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        for path in class_paths:
-            _PROVERS[path] = fn
-        return fn
-
-    return decorate
-
-
-def _ensure_generators() -> None:
-    global _generators_loaded
-    if _generators_loaded:
-        return
-    _generators_loaded = True
-    try:
-        import repro.core.batch_markers  # noqa: F401
-    except BaseException:
-        _generators_loaded = False
-        raise
-
-
-def marker_for(language: "DistributedLanguage") -> Callable[..., Any] | None:
-    if np is None:
-        return None
-    _ensure_generators()
-    cls = type(language)
-    return _MARKERS.get((cls.__module__, cls.__qualname__))
-
-
-def prover_for(scheme: "ProofLabelingScheme") -> Callable[..., Any] | None:
-    if np is None:
-        return None
-    _ensure_generators()
-    cls = type(scheme)
-    return _PROVERS.get((cls.__module__, cls.__qualname__))
-
-
-def supports_batch_marker(language: "DistributedLanguage") -> bool:
-    """True when ``language`` has a registered vectorized marker."""
-    return marker_for(language) is not None
-
-
-def supports_batch_prove(scheme: "ProofLabelingScheme") -> bool:
-    """True when ``scheme`` has a registered vectorized prover."""
-    return prover_for(scheme) is not None
-
-
 def try_batch_member_configuration(
     language: "DistributedLanguage",
     graph: "Graph",
@@ -359,9 +478,10 @@ def try_batch_member_configuration(
 
     ``None`` means "run the dict marker": no kernel for this language
     type, or the kernel declined before touching ``rng``
-    (:class:`BatchFallback`).  On success the configuration is identical
-    to the dict path's — same labeling, same ids, same rng stream
-    position — but the ``is_member`` re-check is skipped: kernels are
+    (:class:`BatchFallback`).  On success the configuration equals the
+    dict path's — same labeling, same ids, same rng stream position —
+    while keeping the marker's column and, for default ids, an id
+    column; the ``is_member`` re-check is skipped: kernels are
     member-by-construction, pinned against the oracle by the generation
     equivalence tests.  Charges ``generate.batch``/``.nodes``; a decline
     charges ``generate.batch.fallbacks``.
@@ -374,9 +494,15 @@ def try_batch_member_configuration(
     except BatchFallback:
         _metrics.inc("generate.batch.fallbacks")
         return None
-    from repro.core.labeling import Configuration
+    from repro.core.labeling import Configuration, Labeling
 
-    config = Configuration.build(graph, arrays.to_labeling(), ids=ids)
+    labeling = Labeling.from_arrays(arrays.freeze())
+    if ids:
+        config = Configuration.build(graph, labeling, ids=ids)
+    else:
+        id_column = np.arange(1, graph.n + 1, dtype=np.int64)
+        id_column.flags.writeable = False
+        config = Configuration.from_columns(graph, labeling, id_column)
     _metrics.inc("generate.batch")
     _metrics.inc("generate.batch.nodes", graph.n)
     return config
@@ -387,7 +513,9 @@ def try_batch_prove(
 ) -> "dict[int, Any] | None":
     """Batched honest certificates, or ``None`` to use the dict prover.
 
-    On success the dict is value-identical to ``scheme.prove(config)``.
+    On success the mapping (a dict, or
+    :class:`~repro.core.arrays.CertificateColumns`) equals
+    ``scheme.prove(config)`` value for value.
     Charges ``prove.batch``/``.nodes``; declines charge
     ``prove.batch.fallbacks``.
     """
@@ -431,20 +559,22 @@ def _accept_mask(
     registers hold values the encoding cannot represent
     (:class:`BatchFallback`, charged to ``decide.batch.fallbacks``).  A
     mask charges the same ``decide.calls``/``decide.rejections``
-    counters as the per-node path plus ``decide.batch`` and
-    ``decide.batch.nodes``, so cost ledgers stay comparable across both
-    paths.
+    counters as the per-node path plus ``decide.batch``,
+    ``decide.batch.nodes`` and ``decide.batch.interned`` (the values the
+    decision interned; 0 when it read only columns).
     """
     fn = decider_for(scheme)
     if fn is None:
         return None
+    ctx = BatchContext(config, certificates)
     try:
-        mask = fn(scheme, BatchContext(config, certificates))
+        mask = fn(scheme, ctx)
     except BatchFallback:
         _metrics.inc("decide.batch.fallbacks")
         return None
     rejections = len(mask) - int(np.count_nonzero(mask))
     _metrics.inc("decide.batch")
+    _metrics.inc("decide.batch.interned", len(ctx.codes))
     _metrics.inc("decide.batch.nodes", len(mask))
     _metrics.inc("decide.calls")
     if rejections:

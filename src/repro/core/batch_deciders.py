@@ -1,16 +1,19 @@
 """Vectorized batched deciders for the highest-traffic catalog schemes.
 
 Each decider re-expresses one scheme's ``verify(view) -> bool`` as
-array arithmetic over the CSR mirror: an O(n + m) Python encode pass
-interns the register values (:class:`~repro.core.batch.ObjectCodes`),
-then numpy computes every node's verdict at once.  The per-node dict
+array arithmetic over the CSR mirror: an encode pass turns the
+registers into ``int64`` code columns, then numpy computes every node's
+verdict at once.  Columns (marker states, certificate columns, id
+columns) encode through the shared decoders of :mod:`repro.core.batch`
+with no per-node work; dicts and object values take an O(n + m) Python
+pass through :class:`~repro.core.batch.ObjectCodes`.  The per-node dict
 path is the semantic oracle — a decider must agree verdict-for-verdict
 on *arbitrary* certificates, including malformed ones — so each kernel
 mirrors its ``verify`` clause by clause:
 
 * Arbitrary-object equality (``g_cert[0] != root_uid``) becomes equality
-  of interned codes; identity checks (``cert is True``, ``parent_uid is
-  None``) become explicit flags computed with ``is``.
+  of codes; identity checks (``cert is True``, ``parent_uid is None``)
+  become explicit flags computed with ``is``.
 * "Raises means reject" holds by construction: parse failures mark the
   node unparsed, which rejects it and every neighbor that reads it —
   exactly what the per-node exception produces.
@@ -34,7 +37,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.approx.counters import is_counter
-from repro.core.batch import BatchContext, BatchFallback, batch_decider
+from repro.core.batch import (
+    BatchContext,
+    BatchFallback,
+    batch_decider,
+    bool_states,
+    pointer_states,
+)
 from repro.core.verifier import Visibility
 
 __all__ = []  # deciders are reached through the registry, not imports
@@ -54,31 +63,6 @@ def _tag_matches(value, tag: str) -> bool:
         return False
 
 
-def _port_states(ctx: BatchContext):
-    """``(state_none, port)`` for pointer-style states (port = -1 invalid)."""
-    degrees = ctx.csr.degrees()
-    state_none = np.zeros(ctx.n, dtype=bool)
-    port = np.full(ctx.n, -1, dtype=np.int64)
-    for v, state in enumerate(ctx.states):
-        if state is None:
-            state_none[v] = True
-        elif isinstance(state, int) and 0 <= state < int(degrees[v]):
-            port[v] = int(state)
-    return state_none, port
-
-
-def _parent_entry(ctx: BatchContext, port: np.ndarray) -> np.ndarray:
-    """Per-node index of the half-edge behind each node's parent port.
-
-    Only meaningful where ``port >= 0``; elsewhere the index is clamped
-    to a safe dummy so gathers stay in bounds.
-    """
-    has_port = port >= 0
-    if not ctx.csr.num_entries:
-        return np.zeros(ctx.n, dtype=np.int64)
-    return np.where(has_port, ctx.csr.indptr[:-1] + port, 0)
-
-
 # ---------------------------------------------------------------------------
 # Spanning tree (pointer encoding).
 # ---------------------------------------------------------------------------
@@ -91,38 +75,19 @@ def _pointer_tree(ctx: BatchContext) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ``SpanningTreePointerScheme.verify``; whether each certificate
     carries a non-negative int distance; and that distance (0 elsewhere).
     """
-    n, code = ctx.n, ctx.code
-    shape = np.zeros(n, dtype=bool)
-    dist_ok = np.zeros(n, dtype=bool)
-    dist = np.zeros(n, dtype=np.int64)
-    root_code = np.full(n, -1, dtype=np.int64)
-    c1_code = np.full(n, -1, dtype=np.int64)
-    dm1_code = np.full(n, -1, dtype=np.int64)
-    for v, cert in enumerate(ctx.certs):
-        if isinstance(cert, tuple) and len(cert) == 2:
-            shape[v] = True
-            root_code[v] = code(cert[0])
-            d = cert[1]
-            c1_code[v] = code(d)
-            if isinstance(d, int) and d >= 0:
-                dist_ok[v] = True
-                dist[v] = ctx.int_value(int(d))
-                dm1_code[v] = code(d - 1)
-    state_none, port = _port_states(ctx)
+    t = ctx.tree_certificates(2, dist_at=1)
+    shape, dist_ok, dist = t.shape, t.dist_ok, t.dist
+    (root_code,) = t.fields
+    state_none, port, parent = pointer_states(ctx.config)
 
     own, nbr = ctx.csr.owners, ctx.csr.indices
     bad_nb = ~shape[nbr] | (root_code[nbr] != root_code[own])
     ok = shape & dist_ok & ~ctx.any_per_entry(bad_nb)
 
-    uid_code = ctx.uid_codes
-    root_accept = (dist == 0) & (uid_code == root_code)
-    has_port = port >= 0
-    if ctx.csr.num_entries:
-        parent = nbr[_parent_entry(ctx, port)]
-        parent_ok = shape[parent] & (c1_code[parent] == dm1_code)
-    else:
-        parent_ok = np.zeros(n, dtype=bool)
-    nonroot_accept = has_port & (dist > 0) & parent_ok
+    root_accept = (dist == 0) & (t.uid == root_code)
+    # ``parent`` is -1 without a valid port: any gather there is masked.
+    parent_ok = shape[parent] & (t.dist_code[parent] == t.dm1_code)
+    nonroot_accept = (port >= 0) & (dist > 0) & parent_ok
     accept = ok & np.where(state_none, root_accept, nonroot_accept)
     return accept, dist_ok, dist
 
@@ -154,37 +119,15 @@ def _bfs_tree(scheme, ctx: BatchContext) -> np.ndarray:
 
 @batch_decider(("repro.schemes.leader", "LeaderScheme"))
 def _leader(scheme, ctx: BatchContext) -> np.ndarray:
-    n, code = ctx.n, ctx.code
-    shape = np.zeros(n, dtype=bool)
-    dist_ok = np.zeros(n, dtype=bool)
-    dist = np.zeros(n, dtype=np.int64)
-    leader_code = np.full(n, -1, dtype=np.int64)
-    parent_code = np.full(n, -1, dtype=np.int64)
-    c2_code = np.full(n, -1, dtype=np.int64)
-    dm1_code = np.full(n, -1, dtype=np.int64)
-    for v, cert in enumerate(ctx.certs):
-        if isinstance(cert, tuple) and len(cert) == 3:
-            shape[v] = True
-            leader_code[v] = code(cert[0])
-            parent_code[v] = code(cert[1])
-            d = cert[2]
-            c2_code[v] = code(d)
-            if isinstance(d, int) and d >= 0:
-                dist_ok[v] = True
-                dist[v] = ctx.int_value(int(d))
-                dm1_code[v] = code(d - 1)
-    is_bool = np.zeros(n, dtype=bool)
-    marked = np.zeros(n, dtype=bool)
-    for v, state in enumerate(ctx.states):
-        if isinstance(state, bool):
-            is_bool[v] = True
-            marked[v] = state
+    t = ctx.tree_certificates(3, dist_at=2)
+    shape, uid_code = t.shape, t.uid
+    leader_code, parent_code = t.fields
+    is_bool, marked = bool_states(ctx.config)
 
     own, nbr = ctx.csr.owners, ctx.csr.indices
     bad_nb = ~shape[nbr] | (leader_code[nbr] != leader_code[own])
-    ok = shape & dist_ok & is_bool & ~ctx.any_per_entry(bad_nb)
+    ok = shape & t.dist_ok & is_bool & ~ctx.any_per_entry(bad_nb)
 
-    uid_code = ctx.uid_codes
     root_accept = (
         marked & (uid_code == leader_code) & (parent_code == uid_code)
     )
@@ -193,10 +136,10 @@ def _leader(scheme, ctx: BatchContext) -> np.ndarray:
     pmatch = (
         shape[nbr]
         & (uid_code[nbr] == parent_code[own])
-        & (c2_code[nbr] == dm1_code[own])
+        & (t.dist_code[nbr] == t.dm1_code[own])
     )
     nonroot_accept = ~marked & ctx.any_per_entry(pmatch)
-    return ok & np.where(dist == 0, root_accept, nonroot_accept)
+    return ok & np.where(t.dist == 0, root_accept, nonroot_accept)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +158,9 @@ def _acyclic(scheme, ctx: BatchContext) -> np.ndarray:
         if isinstance(cert, int) and cert >= 0:
             counter_ok[v] = True
             cm1_code[v] = code(cert - 1)
-    state_none, port = _port_states(ctx)
-    has_port = port >= 0
-    if ctx.csr.num_entries:
-        parent = ctx.csr.indices[_parent_entry(ctx, port)]
-        parent_ok = cert_code[parent] == cm1_code
-    else:
-        parent_ok = np.zeros(n, dtype=bool)
-    return counter_ok & (state_none | (has_port & parent_ok))
+    state_none, port, parent = pointer_states(ctx.config)
+    parent_ok = cert_code[parent] == cm1_code
+    return counter_ok & (state_none | ((port >= 0) & parent_ok))
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +175,10 @@ def _marked_base(ctx: BatchContext):
     ``nb_cert_true[j]`` is "the neighbor behind entry j certifies with
     the ``True`` object" — identity, as the verifiers test ``is True``.
     """
-    n, code = ctx.n, ctx.code
-    is_bool = np.zeros(n, dtype=bool)
-    marked = np.zeros(n, dtype=bool)
-    state_code = np.full(n, -1, dtype=np.int64)
-    for v, state in enumerate(ctx.states):
-        if isinstance(state, bool):
-            is_bool[v] = True
-            marked[v] = state
-            state_code[v] = code(state)
-    cert_code = np.fromiter(
-        (code(cert) for cert in ctx.certs), dtype=np.int64, count=n
-    )
-    cert_is_true = np.fromiter(
-        (cert is True for cert in ctx.certs), dtype=bool, count=n
-    )
+    is_bool, marked = bool_states(ctx.config)
+    state_code = np.where(marked, ctx.code(True), ctx.code(False))
+    cert_code = ctx.codes_of(ctx.certs)
+    cert_is_true = np.fromiter((c is True for c in ctx.certs), bool, count=ctx.n)
     base = is_bool & (cert_code == state_code)
     nb_cert_true = cert_is_true[ctx.csr.indices]
     return base, marked, nb_cert_true
@@ -287,13 +214,8 @@ def _vertex_cover(scheme, ctx: BatchContext) -> np.ndarray:
 
 @batch_decider(("repro.schemes.agreement", "AgreementScheme"))
 def _agreement(scheme, ctx: BatchContext) -> np.ndarray:
-    n, code = ctx.n, ctx.code
-    cert_code = np.fromiter(
-        (code(cert) for cert in ctx.certs), dtype=np.int64, count=n
-    )
-    state_code = np.fromiter(
-        (code(state) for state in ctx.states), dtype=np.int64, count=n
-    )
+    cert_code = ctx.codes_of(ctx.certs)
+    state_code = ctx.codes_of(ctx.states)
     own, nbr = ctx.csr.owners, ctx.csr.indices
     disagree = cert_code[nbr] != cert_code[own]
     return (cert_code == state_code) & ~ctx.any_per_entry(disagree)
@@ -315,26 +237,10 @@ def _spanning_tree_list(scheme, ctx: BatchContext) -> np.ndarray:
     degrees = csr.degrees()
     entries = csr.num_entries
 
-    shape = np.zeros(n, dtype=bool)
-    dist_ok = np.zeros(n, dtype=bool)
-    dist = np.zeros(n, dtype=np.int64)
-    root_code = np.full(n, -1, dtype=np.int64)
-    parent_code = np.full(n, -1, dtype=np.int64)
-    c2_code = np.full(n, -1, dtype=np.int64)
-    dm1_code = np.full(n, -1, dtype=np.int64)
-    dp1_code = np.full(n, -1, dtype=np.int64)
-    for v, cert in enumerate(ctx.certs):
-        if isinstance(cert, tuple) and len(cert) == 4:
-            shape[v] = True
-            root_code[v] = code(cert[0])
-            parent_code[v] = code(cert[1])
-            d = cert[2]
-            c2_code[v] = code(d)
-            if isinstance(d, int) and d >= 0:
-                dist_ok[v] = True
-                dist[v] = ctx.int_value(int(d))
-                dm1_code[v] = code(d - 1)
-                dp1_code[v] = code(d + 1)
+    t = ctx.tree_certificates(4, dist_at=2)
+    shape, dist_ok, dist, c2_code = t.shape, t.dist_ok, t.dist, t.dist_code
+    dm1_code, dp1_code, uid_code = t.dm1_code, t.dp1_code, t.uid
+    root_code, parent_code = t.fields
 
     # States: `listed` marks the ports a *validly* listing node names;
     # `contains` (FULL only) marks raw membership — a neighbor's
@@ -377,8 +283,6 @@ def _spanning_tree_list(scheme, ctx: BatchContext) -> np.ndarray:
             state_valid[v] = True
             for element in state:
                 listed[base + int(element)] = True
-
-    uid_code = ctx.uid_codes
 
     # Echo truthfulness (KKP): frozenset(echo) == the listed uids.
     echo_ok = np.ones(n, dtype=bool)
@@ -493,12 +397,7 @@ def _approx_dominating_set(scheme, ctx: BatchContext) -> np.ndarray:
         total_decoded += value
     if total_decoded + n >= 1 << 62:
         raise BatchFallback("counter totals would overflow int64")
-    is_bool = np.zeros(n, dtype=bool)
-    state_bit = np.zeros(n, dtype=bool)
-    for v, state in enumerate(ctx.states):
-        if isinstance(state, bool):
-            is_bool[v] = True
-            state_bit[v] = state
+    is_bool, state_bit = bool_states(ctx.config)
 
     own, nbr = ctx.csr.owners, ctx.csr.indices
     bad_nb = ~parsed[nbr] | (root_code[nbr] != root_code[own])
@@ -553,7 +452,7 @@ def _approx_tree_weight(scheme, ctx: BatchContext) -> np.ndarray:
         echo_code[v] = code(cert[3])
         echo_none[v] = cert[3] is None
         cval[v] = _counter_value_checked(cert[4])
-    state_none, port = _port_states(ctx)
+    state_none, port, parent = pointer_states(ctx.config)
 
     own, nbr = ctx.csr.owners, ctx.csr.indices
     bad_nb = ~parsed[nbr] | (root_code[nbr] != root_code[own])
@@ -565,15 +464,8 @@ def _approx_tree_weight(scheme, ctx: BatchContext) -> np.ndarray:
 
     uid_code = ctx.uid_codes
     root_accept = echo_none & (dist == 0) & (uid_code == root_code)
-    has_port = port >= 0
-    if ctx.csr.num_entries:
-        parent = nbr[_parent_entry(ctx, port)]
-        pointer_ok = (echo_code == uid_code[parent]) & (
-            dist[parent] == dist - 1
-        )
-    else:
-        pointer_ok = np.zeros(n, dtype=bool)
-    nonroot_accept = has_port & (dist != 0) & pointer_ok
+    pointer_ok = (echo_code == uid_code[parent]) & (dist[parent] == dist - 1)
+    nonroot_accept = (port >= 0) & (dist != 0) & pointer_ok
 
     # Counter layer: float accumulation in port order, exactly like the
     # per-node loop (np.add.at applies updates in index order).
@@ -594,15 +486,12 @@ def _approx_tree_weight(scheme, ctx: BatchContext) -> np.ndarray:
 
 @batch_decider(("repro.schemes.bipartite", "BipartiteScheme"))
 def _bipartite(scheme, ctx: BatchContext) -> np.ndarray:
-    n, code = ctx.n, ctx.code
-    state_none = np.fromiter(
-        (s is None for s in ctx.states), dtype=bool, count=n
-    )
+    state_none = np.fromiter((s is None for s in ctx.states), bool, count=ctx.n)
     # ``certificate not in (0, 1)`` and ``== 1 - certificate`` are both
     # ``==`` comparisons, so 0/0.0/False (and 1/1.0/True) must unify —
     # exactly what the interned codes give.
-    c0, c1 = code(0), code(1)
-    cert_code = np.fromiter((code(c) for c in ctx.certs), np.int64, count=n)
+    c0, c1 = ctx.code(0), ctx.code(1)
+    cert_code = ctx.codes_of(ctx.certs)
     side0 = cert_code == c0
     side1 = cert_code == c1
     own, nbr = ctx.csr.owners, ctx.csr.indices
@@ -637,7 +526,7 @@ def _coloring_echo(scheme, ctx: BatchContext) -> np.ndarray:
     state_code = np.full(n, -1, dtype=np.int64)
     for v in np.flatnonzero(valid):
         state_code[v] = code(ctx.states[v])
-    cert_code = np.fromiter((code(c) for c in ctx.certs), np.int64, count=n)
+    cert_code = ctx.codes_of(ctx.certs)
     echo = valid & (cert_code == state_code)
     own, nbr = ctx.csr.owners, ctx.csr.indices
     bad_nb = cert_code[nbr] == cert_code[own]
@@ -646,13 +535,12 @@ def _coloring_echo(scheme, ctx: BatchContext) -> np.ndarray:
 
 @batch_decider(("repro.schemes.coloring", "ColoringFullScheme"))
 def _coloring_full(scheme, ctx: BatchContext) -> np.ndarray:
-    n, code = ctx.n, ctx.code
     valid = _valid_colors(ctx, scheme.language.colors)
     # ``g.state != view.state`` compares arbitrary neighbor states
     # against mine with ``==``, so *every* state must intern faithfully
     # (a neighbor state of 2.0 clashes with my color 2); unrepresentable
     # states fall back to the oracle via the raised BatchFallback.
-    state_code = np.fromiter((code(s) for s in ctx.states), np.int64, count=n)
+    state_code = ctx.codes_of(ctx.states)
     own, nbr = ctx.csr.owners, ctx.csr.indices
     bad_nb = state_code[nbr] == state_code[own]
     return valid & ~ctx.any_per_entry(bad_nb)

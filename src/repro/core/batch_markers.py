@@ -16,15 +16,18 @@ exact equivalence, clause for clause:
   :class:`~repro.core.batch.BatchFallback` is legal only *before* the
   first rng draw; after that the kernel owns the outcome.
 * A prover kernel takes no rng and must return exactly
-  ``scheme.prove(config)``'s dict — including the best-effort
-  certificates on off-language and junk states — or raise
+  ``scheme.prove(config)``'s certificates — including the best-effort
+  ones on off-language and junk states — or raise
   :class:`~repro.core.batch.BatchFallback` to rerun the dict prover.
 
-Registration is by ``(module, qualname)`` string so this module imports
-no scheme packages (the same mid-registry-population rule as the
-deciders); subclasses that override ``canonical_labeling``/``prove``
-never inherit a kernel by accident, while subclasses that keep them
-(the FF17 repair) opt in by listing their own path.
+Pointer markers emit nullable-int columns (ports, ``None`` at roots),
+and the tree provers return
+:class:`~repro.core.arrays.CertificateColumns`; both are read back
+through the shared decoders of :mod:`repro.core.batch`.  Registration
+is by ``(module, qualname)`` string, so this module imports no scheme
+packages and a subclass that overrides ``canonical_labeling``/``prove``
+never inherits a kernel, while one that keeps them (the FF17 repair)
+lists its own path.
 """
 
 from __future__ import annotations
@@ -35,41 +38,52 @@ import random
 import numpy as np
 
 from repro.approx.counters import counter_value, mantissa_bits_for, round_up_counter
-from repro.core.arrays import ArrayLabeling, column_from_values
-from repro.core.batch import BatchFallback, batch_marker, batch_prover
+from repro.core.arrays import ArrayLabeling, CertificateColumns, column_from_values
+from repro.core.batch import (
+    BatchFallback,
+    batch_marker,
+    batch_prover,
+    bool_states,
+    pointer_states,
+    state_list,
+)
 from repro.core.verifier import Visibility
 from repro.errors import LanguageError
 from repro.graphs.mst import kruskal, mst_weight
-from repro.graphs.traversal_arrays import (
-    bfs_arrays,
-    bfs_arrays_indexed,
-    pointer_depths,
-)
+from repro.graphs.traversal_arrays import bfs_arrays, bfs_arrays_indexed, pointer_depths
 
 __all__ = []  # kernels are reached through the registry, not imports
 
 
-def _port_parents(csr, states):
-    """``(port, parent)`` decoding pointer states like ``pointers_from_ports``.
+def _uid_column(config):
+    """Every node's uid: the id column, or the tightest one over ``ids``."""
+    if config.id_column is not None:
+        return config.id_column
+    n = config.graph.n
+    return column_from_values((config.ids[v] for v in range(n)), n)
 
-    ``port[v]``/``parent[v]`` are ``-1`` where the state is not a valid
-    port (``isinstance`` admits bools, exactly as the dict decoder does).
+
+def _tree_columns(uids, root, dist, parent=None):
+    """Certificates ``(uids[root], [parent uid,] dist)`` as columns.
+
+    ``dist`` and ``parent`` are kernel arrays holding ``-1`` at
+    unreached nodes and roots, which certify distance 0 and name
+    themselves as parent.
     """
-    n = csr.n
-    degrees = csr.degrees().tolist()
-    port = np.full(n, -1, dtype=np.int64)
-    for v, state in enumerate(states):
-        if isinstance(state, int) and 0 <= state < degrees[v]:
-            port[v] = state
-    parent = np.full(n, -1, dtype=np.int64)
-    sel = np.flatnonzero(port >= 0)
-    parent[sel] = csr.indices[csr.indptr[sel] + port[sel]]
-    return port, parent
+    n = dist.shape[0]
+    fields = {"root_uid": np.repeat(uids[root : root + 1], n)}
+    if parent is not None:
+        fields["parent_uid"] = uids[np.where(parent < 0, np.arange(n), parent)]
+    fields["dist"] = np.maximum(dist, 0)
+    return CertificateColumns(ArrayLabeling(n, fields))
 
 
-def _states_of(config):
-    labeling = config.labeling
-    return [labeling[v] for v in range(config.graph.n)]
+def _pointer_column(ports, root):
+    """Pointer states: ``ports`` everywhere but ``None`` at ``root``."""
+    nulls = np.zeros(ports.shape[0], dtype=bool)
+    nulls[root] = True
+    ports[root] = 0
+    return ArrayLabeling.from_column(ports, nulls=nulls)
 
 
 def _greedy_marked_column(csr, order):
@@ -112,11 +126,9 @@ def _spanning_tree_ptr_marker(language, graph, ids, rng):
         # The dict path reads bfs()'s parent dict node by node and hits
         # the first unreached node as a missing key.
         raise KeyError(int(unreached[0]))
-    column = np.empty(n, dtype=object)
-    if csr.num_entries:
-        column[:] = csr.back_ports[np.maximum(entry, 0)].tolist()
-    column[root] = None
-    return ArrayLabeling.from_column(column)
+    if not csr.num_entries:
+        return _pointer_column(np.zeros(n, dtype=np.int64), root)
+    return _pointer_column(csr.back_ports[np.maximum(entry, 0)], root)
 
 
 @batch_marker(("repro.schemes.spanning_tree", "SpanningTreeListLanguage"))
@@ -186,11 +198,13 @@ def _acyclic_marker(language, graph, ids, rng):
     lower_counts = np.bincount(
         csr.owners[csr.indices < csr.owners], minlength=n
     ).tolist()
-    states = [None] * n
+    ports = np.zeros(n, dtype=np.int64)
+    nulls = np.ones(n, dtype=bool)
     for v, count in enumerate(lower_counts):
         if count and rng.random() < 0.8:
-            states[v] = rng.choice(range(count))
-    return ArrayLabeling.from_column(column_from_values(states, n))
+            ports[v] = rng.choice(range(count))
+            nulls[v] = False
+    return ArrayLabeling.from_column(ports, nulls=nulls)
 
 
 @batch_marker(
@@ -290,11 +304,9 @@ def _gap_tree_weight_marker(language, graph, ids, rng):
         ([0], np.cumsum(np.bincount(csr.owners[tj], minlength=n)))
     )
     _, _, entry = bfs_arrays_indexed(n, sub_indptr, csr.indices[tj], root)
-    column = np.empty(n, dtype=object)
-    if tj.size:
-        column[:] = csr.back_ports[tj[np.maximum(entry, 0)]].tolist()
-    column[root] = None
-    return ArrayLabeling.from_column(column)
+    if not tj.size:
+        return _pointer_column(np.zeros(n, dtype=np.int64), root)
+    return _pointer_column(csr.back_ports[tj[np.maximum(entry, 0)]], root)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +319,10 @@ def _spanning_tree_ptr_prover(scheme, config):
     n = config.graph.n
     if n == 0:
         raise BatchFallback("empty graph")
-    csr = config.graph.csr()
-    _, parent = _port_parents(csr, _states_of(config))
-    depth = pointer_depths(parent)
+    _, _, parent = pointer_states(config)
     roots = np.flatnonzero(parent < 0)
-    ids = config.ids
-    root_uid = ids[int(roots[0])] if roots.size else ids[0]
-    d0 = np.where(depth < 0, 0, depth).tolist()
-    return {v: (root_uid, d) for v, d in enumerate(d0)}
+    root = int(roots[0]) if roots.size else 0
+    return _tree_columns(_uid_column(config), root, pointer_depths(parent))
 
 
 @batch_prover(("repro.schemes.bfs_tree", "BfsTreeScheme"))
@@ -322,14 +330,11 @@ def _bfs_tree_prover(scheme, config):
     n = config.graph.n
     if n == 0:
         raise BatchFallback("empty graph")
-    csr = config.graph.csr()
-    _, parent = _port_parents(csr, _states_of(config))
+    _, _, parent = pointer_states(config)
     roots = np.flatnonzero(parent < 0)
     root = int(roots[0]) if roots.size else 0
-    dist, _, _ = bfs_arrays(csr, root)
-    root_uid = config.ids[root]
-    d0 = np.where(dist < 0, 0, dist).tolist()
-    return {v: (root_uid, d) for v, d in enumerate(d0)}
+    dist, _, _ = bfs_arrays(config.graph.csr(), root)
+    return _tree_columns(_uid_column(config), root, dist)
 
 
 @batch_prover(("repro.schemes.leader", "LeaderScheme"))
@@ -337,17 +342,11 @@ def _leader_prover(scheme, config):
     n = config.graph.n
     if n == 0:
         raise BatchFallback("empty graph")
-    states = _states_of(config)
-    root = next((v for v, s in enumerate(states) if s is True), 0)
+    is_bool, marked = bool_states(config)
+    leaders = np.flatnonzero(is_bool & marked)  # the states that are True
+    root = int(leaders[0]) if leaders.size else 0
     dist, parent, _ = bfs_arrays(config.graph.csr(), root)
-    ids = config.ids
-    leader_uid = ids[root]
-    plist = parent.tolist()
-    d0 = np.where(dist < 0, 0, dist).tolist()
-    return {
-        v: (leader_uid, ids[v] if plist[v] < 0 else ids[plist[v]], d0[v])
-        for v in range(n)
-    }
+    return _tree_columns(_uid_column(config), root, dist, parent)
 
 
 @batch_prover(("repro.schemes.acyclic", "AcyclicScheme"))
@@ -355,7 +354,7 @@ def _acyclic_prover(scheme, config):
     n = config.graph.n
     if n == 0:
         raise BatchFallback("empty graph")
-    _, parent = _port_parents(config.graph.csr(), _states_of(config))
+    _, _, parent = pointer_states(config)
     depth = pointer_depths(parent)
     d0 = np.where(depth < 0, 0, depth).tolist()
     return dict(enumerate(d0))
@@ -363,7 +362,7 @@ def _acyclic_prover(scheme, config):
 
 @batch_prover(("repro.schemes.agreement", "AgreementScheme"))
 def _agreement_prover(scheme, config):
-    return dict(enumerate(_states_of(config)))
+    return dict(enumerate(state_list(config)))
 
 
 @batch_prover(
@@ -372,7 +371,7 @@ def _agreement_prover(scheme, config):
     ("repro.schemes.vertex_cover", "VertexCoverScheme"),
 )
 def _marked_echo_prover(scheme, config):
-    return {v: bool(s) for v, s in enumerate(_states_of(config))}
+    return {v: bool(s) for v, s in enumerate(state_list(config))}
 
 
 @batch_prover(
@@ -384,7 +383,7 @@ def _spanning_tree_list_prover(scheme, config):
     if n == 0:
         raise BatchFallback("empty graph")
     csr = config.graph.csr()
-    states = _states_of(config)
+    states = state_list(config)
     degrees = csr.degrees().tolist()
     indptr = csr.indptr.tolist()
     # A node's listing counts only when *every* element is a valid port
@@ -404,12 +403,10 @@ def _spanning_tree_list_prover(scheme, config):
     )
     dist, parent, _ = bfs_arrays_indexed(n, sub_indptr, csr.indices[tj], 0)
     ids = config.ids
-    root_uid = ids[0]
     kkp = scheme.visibility is Visibility.KKP
-    echoes = None
+    echoes = [() if kkp else None] * n
     if kkp:
         indices = csr.indices
-        echoes = [()] * n
         for v, state in enumerate(states):
             if isinstance(state, frozenset):
                 base = indptr[v]
@@ -421,18 +418,9 @@ def _spanning_tree_list_prover(scheme, config):
                         if isinstance(p, int) and 0 <= p < degree
                     )
                 )
-    plist = parent.tolist()
-    d0 = np.where(dist < 0, 0, dist).tolist()
-    certs = {}
-    for v in range(n):
-        p = plist[v]
-        certs[v] = (
-            root_uid,
-            ids[v] if p < 0 else ids[p],
-            d0[v],
-            echoes[v] if kkp else None,
-        )
-    return certs
+    parents = [ids[v] if p < 0 else ids[p] for v, p in enumerate(parent.tolist())]
+    d0 = np.maximum(dist, 0).tolist()
+    return dict(enumerate(zip([ids[0]] * n, parents, d0, echoes)))
 
 
 @batch_prover(("repro.schemes.eccentricity", "BoundedEccentricityScheme"))
@@ -464,7 +452,7 @@ def _approx_dominating_set_prover(scheme, config):
     dist, parent, _ = bfs_arrays(config.graph.csr(), root)
     depth = int(dist.max())
     mantissa = mantissa_bits_for(depth, scheme.alpha)
-    states = _states_of(config)
+    states = state_list(config)
     bits = [1 if s else 0 for s in states]
     d0 = np.where(dist < 0, 0, dist)
     plist = parent.tolist()
@@ -478,19 +466,11 @@ def _approx_dominating_set_prover(scheme, config):
         if p >= 0:
             totals[p] += counter_value(counter)
     root_uid = ids[root]
-    d0 = d0.tolist()
-    certs = {}
-    for v in range(n):
-        p = plist[v]
-        certs[v] = (
-            "apx-ds",
-            bool(states[v]),
-            root_uid,
-            d0[v],
-            None if p < 0 else ids[p],
-            counters[v],
-        )
-    return certs
+    parents = [None if p < 0 else ids[p] for p in plist]
+    return {
+        v: ("apx-ds", bool(s), root_uid, d, p, c)
+        for v, (s, d, p, c) in enumerate(zip(states, d0.tolist(), parents, counters))
+    }
 
 
 @batch_prover(("repro.approx.mst_weight", "ApproxTreeWeightScheme"))
@@ -500,7 +480,7 @@ def _approx_tree_weight_prover(scheme, config):
     if n == 0:
         raise BatchFallback("empty graph")
     csr = graph.csr()
-    port, parent = _port_parents(csr, _states_of(config))
+    _, port, parent = pointer_states(config)
     depth = pointer_depths(parent)
     roots = np.flatnonzero(parent < 0)
     ids = config.ids
@@ -525,15 +505,8 @@ def _approx_tree_weight_prover(scheme, config):
             if weighted:
                 add += math.ceil(csr.weights[indptr[v] + portl[v]])
             totals[p] += add
-    d0 = d0.tolist()
-    certs = {}
-    for v in range(n):
-        p = plist[v]
-        certs[v] = (
-            "apx-tw",
-            root_uid,
-            d0[v],
-            None if p < 0 else ids[p],
-            counters[v],
-        )
-    return certs
+    parents = [None if p < 0 else ids[p] for p in plist]
+    return {
+        v: ("apx-tw", root_uid, d, p, c)
+        for v, (d, p, c) in enumerate(zip(d0.tolist(), parents, counters))
+    }

@@ -165,11 +165,7 @@ class ProofLabelingScheme(ABC):
                     radius=self.radius,
                     views=views,
                 )
-            return Verdict(
-                accepts=frozenset(mask.nonzero()[0].tolist()),
-                rejects=frozenset((~mask).nonzero()[0].tolist()),
-                backend="array",
-            )
+            return Verdict.from_mask(mask)
 
     def build_views(
         self, config: Configuration, certificates: Mapping[int, Any]

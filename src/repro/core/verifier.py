@@ -139,18 +139,49 @@ class Verdict:
     ``backend`` reports which path decided: ``"array"`` (a batched
     decider) or ``"views"`` (the per-node oracle).  It takes no part in
     equality — both paths must agree node for node.
+
+    An array verdict (:meth:`from_mask`) keeps the decider's accept
+    mask and its rejection count; ``accepts``/``rejects`` are built on
+    first read.
     """
 
     accepts: frozenset[int]
     rejects: frozenset[int]
     backend: str = field(default="views", compare=False)
 
+    @classmethod
+    def from_mask(cls, mask: Any) -> "Verdict":
+        """The array verdict of a bool mask (``mask[v]`` iff ``v`` accepts)."""
+        import numpy as np
+
+        verdict = cls.__new__(cls)
+        object.__setattr__(verdict, "backend", "array")
+        object.__setattr__(verdict, "_mask", mask)
+        object.__setattr__(
+            verdict, "_rejections", mask.size - int(np.count_nonzero(mask))
+        )
+        return verdict
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for unset attributes: an array verdict sets
+        # ``accepts``/``rejects`` on first read.
+        mask = self.__dict__.get("_mask")
+        if name not in ("accepts", "rejects") or mask is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        object.__setattr__(self, "accepts", frozenset(mask.nonzero()[0].tolist()))
+        object.__setattr__(self, "rejects", frozenset((~mask).nonzero()[0].tolist()))
+        return self.__dict__[name]
+
     @property
     def all_accept(self) -> bool:
-        return not self.rejects
+        return self.reject_count == 0
 
     @property
     def reject_count(self) -> int:
+        if "_rejections" in self.__dict__:
+            return self.__dict__["_rejections"]
         return len(self.rejects)
 
     def __repr__(self) -> str:

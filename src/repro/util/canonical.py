@@ -91,7 +91,13 @@ def encode_value(value: Any) -> Any:
 
 
 def decode_value(obj: Any) -> Any:
-    """Inverse of :func:`encode_value` (exact round trip)."""
+    """Inverse of :func:`encode_value` (exact round trip).
+
+    Total over JSON-able input: anything that is not an encoding —
+    a wrapper whose payload has the wrong shape, bad hex, an unhashable
+    set element or dict key — raises
+    :class:`~repro.errors.CanonicalError`, never another exception.
+    """
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, list):
@@ -99,19 +105,27 @@ def decode_value(obj: Any) -> Any:
     if isinstance(obj, dict):
         tag = obj.get(_TAG_KEY)
         payload = obj.get("v")
-        if tag == "list":
-            return [decode_value(item) for item in payload]
-        if tag == "set":
-            return {decode_value(item) for item in payload}
-        if tag == "fset":
-            return frozenset(decode_value(item) for item in payload)
-        if tag == "dict":
-            return {
-                decode_value(key): decode_value(item) for key, item in payload
-            }
-        if tag == "bytes":
-            return bytes.fromhex(payload)
-        raise CanonicalError(f"unknown encoding tag {tag!r}")
+        if tag not in ("list", "set", "fset", "dict", "bytes"):
+            raise CanonicalError(f"unknown encoding tag {tag!r}")
+        if not isinstance(payload, str if tag == "bytes" else (list, tuple)):
+            raise CanonicalError(
+                f"{tag} payload of type {type(payload).__name__} "
+                "is not a canonical encoding"
+            )
+        try:
+            if tag == "bytes":
+                return bytes.fromhex(payload)
+            if tag == "dict":
+                return {
+                    decode_value(key): decode_value(item)
+                    for key, item in payload
+                }
+            items = [decode_value(item) for item in payload]
+            if tag == "list":
+                return items
+            return set(items) if tag == "set" else frozenset(items)
+        except (TypeError, ValueError) as error:
+            raise CanonicalError(f"malformed {tag} encoding: {error}") from None
     raise CanonicalError(
         f"object of type {type(obj).__name__} is not a canonical encoding"
     )

@@ -103,6 +103,21 @@ class TestValueCodec:
         with pytest.raises(CanonicalError):
             canonical_bytes(encode_value(value))
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"__pls__": "set", "v": [{"__pls__": "list", "v": [1]}]},
+            {"__pls__": "dict", "v": [1]},
+            {"__pls__": "bytes", "v": "zz"},
+            {"__pls__": "list", "v": 5},
+            {"__pls__": "fset", "v": None},
+        ],
+        ids=["set-of-list", "dict-non-pair", "bad-hex", "list-int", "fset-none"],
+    )
+    def test_malformed_encodings_raise_canonical_error(self, obj):
+        with pytest.raises(CanonicalError):
+            decode_value(obj)
+
     def test_domain_separation(self):
         assert domain_hash("A", b"x") != domain_hash("B", b"x")
         # Domain/payload boundary cannot be shifted.

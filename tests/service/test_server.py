@@ -145,6 +145,23 @@ class TestCacheSemantics:
         assert service.stats["replays_rejected"] == 1
 
 
+class TestSettledBatch:
+    def test_malformed_certificate_settles_alone(self):
+        """A certificate payload that is not a canonical encoding settles
+        as ``invalid``; its siblings in the same batch still get verdicts."""
+        service = CertificationService()
+        good = [
+            build_envelope("bipartite", n=8, seed=seed) for seed in (3, 4)
+        ]
+        bad = build_envelope("bipartite", n=8, seed=5).to_obj()
+        bad["certificates"][0][1] = {"__pls__": "set", "v": [{"__pls__": "list", "v": [1]}]}
+        outcomes = service.submit_settled([good[0], bad, good[1]])
+        assert [kind for kind, _ in outcomes] == ["ok", "invalid", "ok"]
+        assert "malformed set encoding" in outcomes[1][1]
+        for (_, result), envelope in zip(outcomes[::2], good):
+            assert result.accepted == _in_process_verdict(envelope).all_accept
+
+
 class TestValidation:
     def test_unknown_scheme_rejected(self):
         service = CertificationService()
