@@ -140,7 +140,8 @@ class TreeCertificates(NamedTuple):
     width.  Where it is, ``fields[i][v]`` codes the ``i``-th uid entry
     and ``dist_code[v]`` the dist entry; where ``dist_ok`` also holds
     (that entry is an int >= 0), ``dist[v]`` is the int (0 elsewhere)
-    and ``dm1_code[v]``/``dp1_code[v]`` code ``dist - 1``/``dist + 1``.
+    and ``dm1_code[v]``/``dp1_code[v]`` code ``dist - 1``/``dist + 1``
+    (``dp1_code`` is ``None`` unless the caller asked for successors).
     ``uid`` codes every node's own uid in the same space.  Codes are
     equal exactly when the values are ``==``; cells outside their mask
     are arbitrary, so every comparison must be masked.
@@ -152,7 +153,7 @@ class TreeCertificates(NamedTuple):
     dist: "np.ndarray"
     dist_code: "np.ndarray"
     dm1_code: "np.ndarray"
-    dp1_code: "np.ndarray"
+    dp1_code: "np.ndarray | None"
     uid: "np.ndarray"
 
 
@@ -207,9 +208,12 @@ class BatchContext:
             self._uid_codes = self.codes_of(uid(v) for v in range(self.n))
         return self._uid_codes
 
-    def tree_certificates(self, width: int, dist_at: int) -> TreeCertificates:
+    def tree_certificates(
+        self, width: int, dist_at: int, successors: bool = False
+    ) -> TreeCertificates:
         """The certificates decoded as ``width``-tuples whose entry
         ``dist_at`` is a distance and whose earlier entries are uids.
+        Only a decider that reads ``dp1_code`` asks for ``successors``.
 
         :class:`~repro.core.arrays.CertificateColumns` with ``int64``
         fields (distances below ``2**62``, so ``dist + 1`` cannot wrap)
@@ -233,12 +237,14 @@ class BatchContext:
                 ok = raw >= 0
                 shape, dist = np.ones(n, dtype=bool), np.where(ok, raw, 0)
                 fields = columns[:dist_at]
+                dp1 = raw + 1 if successors else None
                 return TreeCertificates(
-                    shape, fields, ok, dist, raw, raw - 1, raw + 1, uid
+                    shape, fields, ok, dist, raw, raw - 1, dp1, uid
                 )
         code = self.code
         shape, ok = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        dist, dist_code, dm1, dp1 = (np.zeros(n, dtype=np.int64) for _ in range(4))
+        dist, dist_code, dm1 = (np.zeros(n, dtype=np.int64) for _ in range(3))
+        dp1 = np.zeros(n, dtype=np.int64) if successors else None
         fields = [np.zeros(n, dtype=np.int64) for _ in range(dist_at)]
         for v, cert in enumerate(self.certs):
             if isinstance(cert, tuple) and len(cert) == width:
@@ -250,7 +256,9 @@ class BatchContext:
                 if isinstance(d, int) and d >= 0:
                     ok[v] = True
                     dist[v] = self.int_value(int(d))
-                    dm1[v], dp1[v] = code(d - 1), code(d + 1)
+                    dm1[v] = code(d - 1)
+                    if successors:
+                        dp1[v] = code(d + 1)
         return TreeCertificates(
             shape, fields, ok, dist, dist_code, dm1, dp1, self.uid_codes
         )

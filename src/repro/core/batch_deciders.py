@@ -237,7 +237,7 @@ def _spanning_tree_list(scheme, ctx: BatchContext) -> np.ndarray:
     degrees = csr.degrees()
     entries = csr.num_entries
 
-    t = ctx.tree_certificates(4, dist_at=2)
+    t = ctx.tree_certificates(4, dist_at=2, successors=True)
     shape, dist_ok, dist, c2_code = t.shape, t.dist_ok, t.dist, t.dist_code
     dm1_code, dp1_code, uid_code = t.dm1_code, t.dp1_code, t.uid
     root_code, parent_code = t.fields

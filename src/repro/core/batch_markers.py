@@ -50,7 +50,13 @@ from repro.core.batch import (
 from repro.core.verifier import Visibility
 from repro.errors import LanguageError
 from repro.graphs.mst import kruskal, mst_weight
-from repro.graphs.traversal_arrays import bfs_arrays, bfs_arrays_indexed, pointer_depths
+from repro.graphs.traversal_arrays import (
+    bfs_arrays,
+    bfs_arrays_indexed,
+    hand_off_dist,
+    pointer_depths,
+    take_dist,
+)
 
 __all__ = []  # kernels are reached through the registry, not imports
 
@@ -76,6 +82,13 @@ def _tree_columns(uids, root, dist, parent=None):
         fields["parent_uid"] = uids[np.where(parent < 0, np.arange(n), parent)]
     fields["dist"] = np.maximum(dist, 0)
     return CertificateColumns(ArrayLabeling(n, fields))
+
+
+def _steps_down(dist, parent, root):
+    """Whether every node but ``root`` points one closer under ``dist``."""
+    step = dist[parent] - dist  # the root reads dist[-1]: overwritten
+    step[root] = -1
+    return bool((step == -1).all())
 
 
 def _pointer_column(ports, root):
@@ -114,7 +127,8 @@ def _greedy_marked_column(csr, order):
 def _spanning_tree_ptr_marker(language, graph, ids, rng):
     # Both canonicals are "BFS tree from a random root, as parent ports";
     # a BFS tree is a spanning tree whose depths are graph distances, so
-    # one kernel is member-by-construction for both languages.
+    # one kernel is member-by-construction for both languages.  Both
+    # provers certify those distances, so the marker hands them off.
     n = graph.n
     if n == 0:
         raise BatchFallback("empty graph")  # pre-rng: dict path decides
@@ -126,6 +140,7 @@ def _spanning_tree_ptr_marker(language, graph, ids, rng):
         # The dict path reads bfs()'s parent dict node by node and hits
         # the first unreached node as a missing key.
         raise KeyError(int(unreached[0]))
+    hand_off_dist(csr, root, dist)
     if not csr.num_entries:
         return _pointer_column(np.zeros(n, dtype=np.int64), root)
     return _pointer_column(csr.back_ports[np.maximum(entry, 0)], root)
@@ -322,7 +337,13 @@ def _spanning_tree_ptr_prover(scheme, config):
     _, _, parent = pointer_states(config)
     roots = np.flatnonzero(parent < 0)
     root = int(roots[0]) if roots.size else 0
-    return _tree_columns(_uid_column(config), root, pointer_depths(parent))
+    # The marker's BFS distances are the pointer depths when ``root`` is
+    # the one node without a pointer and every other pointer leads one
+    # closer; anything else traverses the pointers.
+    dist = take_dist(config.graph.csr(), root)
+    if dist is None or roots.size != 1 or not _steps_down(dist, parent, root):
+        dist = pointer_depths(parent)
+    return _tree_columns(_uid_column(config), root, dist)
 
 
 @batch_prover(("repro.schemes.bfs_tree", "BfsTreeScheme"))
@@ -333,7 +354,10 @@ def _bfs_tree_prover(scheme, config):
     _, _, parent = pointer_states(config)
     roots = np.flatnonzero(parent < 0)
     root = int(roots[0]) if roots.size else 0
-    dist, _, _ = bfs_arrays(config.graph.csr(), root)
+    csr = config.graph.csr()
+    dist = take_dist(csr, root)
+    if dist is None:
+        dist, _, _ = bfs_arrays(csr, root)
     return _tree_columns(_uid_column(config), root, dist)
 
 

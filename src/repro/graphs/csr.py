@@ -39,7 +39,7 @@ result — graphs are immutable, so it can never go stale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,6 +64,11 @@ class CSRGraph:
     reverse: np.ndarray
     back_ports: np.ndarray
     weights: np.ndarray | None
+    #: At most one ``root -> dist`` BFS column a marker left for the
+    #: next prover (see :func:`~repro.graphs.traversal_arrays.hand_off_dist`).
+    dist_handoff: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def num_entries(self) -> int:

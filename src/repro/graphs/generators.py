@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from typing import Callable
 
 from repro.errors import GraphError
@@ -119,35 +120,86 @@ def binary_tree(n: int) -> Graph:
 
 
 def random_tree(n: int, rng: random.Random | None = None) -> Graph:
-    """A uniform random labeled tree via a random Prüfer sequence."""
+    """A uniform random labeled tree via a random Prüfer sequence.
+
+    The sequence is ``n - 2`` calls of ``rng.randrange(n)``; the tree
+    and the rng position afterwards are exactly those calls' outcome,
+    whichever way :func:`_pruefer_draws` reads them.
+    """
     _require(n >= 1, "tree needs n >= 1")
     rng = rng or make_rng()
     if n <= 2:
         return path_graph(n)
-    sequence = [rng.randrange(n) for _ in range(n - 2)]
+    sequence = _pruefer_draws(n, rng)
     # Linear-time Prüfer decoding: ``leaf`` is always the smallest
     # current leaf, either the node just reduced to degree 1 (if below
     # the scan pointer) or the next degree-1 node past the pointer.
     degree = [1] * n
     for v in sequence:
         degree[v] += 1
-    pointer = degree.index(1)
-    leaf = pointer
-    leaves = []
+    next_leaf = degree.index
+    pointer = leaf = next_leaf(1)
+    leaves = array("q")
     for v in sequence:
         leaves.append(leaf)
         degree[v] -= 1
         if degree[v] == 1 and v < pointer:
             leaf = v
         else:
-            pointer += 1
-            while degree[pointer] != 1:
-                pointer += 1
-            leaf = pointer
+            pointer = leaf = next_leaf(1, pointer + 1)
     # The last two leaves are ``leaf`` and node n-1, never removed earlier.
     leaves.append(leaf)
-    sequence.append(n - 1)
-    return Graph.from_columns(n, leaves, sequence)
+    heads = array("q", sequence)
+    heads.append(n - 1)
+    return Graph.from_columns(n, leaves, heads)
+
+
+def _pruefer_draws(n: int, rng: random.Random) -> list[int]:
+    """``[rng.randrange(n) for _ in range(n - 2)]``, read in bulk when it can.
+
+    For a plain ``random.Random`` and ``n < 2**32``, CPython's
+    ``randrange(n)`` is ``_randbelow_with_getrandbits``: it takes one
+    32-bit Mersenne Twister word per try, keeps its top
+    ``n.bit_length()`` bits and rejects values ``>= n``.  With numpy the
+    words come from ``getrandbits`` in bulk and are filtered as columns;
+    the rng is then rewound and advanced by exactly the words the
+    accepted draws used, so it ends where the calls would leave it.  A
+    subclass (which may override any of this) or a larger ``n`` makes
+    the calls.
+    """
+    count = n - 2
+    if type(rng) is random.Random and n < 1 << 32:
+        try:
+            return _randbelow_column(rng, n, count).tolist()
+        except ImportError:  # numpy is optional; nothing was drawn yet
+            pass
+    return [rng.randrange(n) for _ in range(count)]
+
+
+def _randbelow_column(rng: random.Random, n: int, count: int):
+    """``count`` draws of ``randrange(n)`` as an int64 column (see above)."""
+    import numpy as np
+
+    shift = 32 - n.bit_length()
+    state = rng.getstate()
+    # Words per accepted draw average 2**bit_length / n, below 2; a
+    # chunk that falls short is topped up by the next, smaller one.
+    per_draw = (1 << n.bit_length()) / n
+    chunks, used, taken = [], 0, 0
+    while taken < count:
+        want = count - taken
+        words = int(want * per_draw) + 64
+        column = np.frombuffer(
+            rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
+        ).astype(np.int64)
+        column >>= shift
+        accepted = np.flatnonzero(column < n)[:want]
+        chunks.append(column[accepted])
+        taken += accepted.size
+        used += int(accepted[-1]) + 1 if taken == count else words
+    rng.setstate(state)
+    rng.getrandbits(32 * used)
+    return np.concatenate(chunks)
 
 
 def caterpillar(spine: int, legs_per_node: int = 1) -> Graph:

@@ -21,13 +21,56 @@ Equivalence contract (pinned by ``tests/core/test_batch_generation.py``):
 
 Sentinels are ``-1`` throughout (no parent / unreached / no depth), so
 every output column is a plain ``int64`` array.
+
+Each sweep bumps the ``repro.obs`` counters ``traversal.sweeps`` (one
+per call) and ``traversal.levels`` (frontier layers after the first),
+a deterministic unit for the per-level numpy overhead that dominates
+deep graphs.
+
+A marker that has run the BFS a prover will need leaves its ``dist``
+column on the CSR with :func:`hand_off_dist`; the prover takes it with
+:func:`take_dist`.  The slot holds one read-only column keyed by root
+and a take empties it.  An entry is a pure function of (graph, root),
+so a stale or raced entry is never wrong: at worst a prover misses it
+and traverses again.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bfs_arrays", "bfs_arrays_indexed", "pointer_depths"]
+from repro.obs import metrics as _metrics
+
+__all__ = [
+    "bfs_arrays",
+    "bfs_arrays_indexed",
+    "hand_off_dist",
+    "pointer_depths",
+    "take_dist",
+]
+
+
+def _count_sweep(levels: int) -> None:
+    _metrics.inc("traversal.sweeps")
+    _metrics.inc("traversal.levels", levels)
+
+
+def hand_off_dist(csr, root: int, dist: np.ndarray) -> None:
+    """Leave ``dist`` — BFS distances from ``root`` on ``csr`` — for one
+    :func:`take_dist`, replacing any earlier entry."""
+    dist.flags.writeable = False
+    slot = csr.dist_handoff
+    slot.clear()
+    slot[root] = dist
+
+
+def take_dist(csr, root: int) -> np.ndarray | None:
+    """The handed-off BFS distances from ``root``, or ``None``; the slot
+    is empty afterwards either way."""
+    slot = csr.dist_handoff
+    dist = slot.pop(root, None)
+    slot.clear()
+    return dist
 
 
 def bfs_arrays_indexed(
@@ -56,6 +99,7 @@ def bfs_arrays_indexed(
     parent = np.full(n, -1, dtype=np.int64)
     entry = np.full(n, -1, dtype=np.int64)
     if n == 0:
+        _count_sweep(0)
         return dist, parent, entry
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
@@ -87,6 +131,7 @@ def bfs_arrays_indexed(
         parent[newly] = owner[sel]
         entry[newly] = j[sel]
         frontier = newly
+    _count_sweep(d)
     return dist, parent, entry
 
 
@@ -108,6 +153,7 @@ def pointer_depths(parent: np.ndarray) -> np.ndarray:
     n = parent.shape[0]
     depth = np.full(n, -1, dtype=np.int64)
     if n == 0:
+        _count_sweep(0)
         return depth
     # Group children by parent: a stable argsort puts the -1 (root)
     # entries first, then each parent's children contiguously.
@@ -130,4 +176,5 @@ def pointer_depths(parent: np.ndarray) -> np.ndarray:
         d += 1
         frontier = children[idx]
         depth[frontier] = d
+    _count_sweep(d)
     return depth

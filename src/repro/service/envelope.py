@@ -310,6 +310,8 @@ class ProofEnvelope:
             obj = json.loads(payload)
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise EnvelopeError(f"envelope is not valid JSON: {error}") from None
+        except RecursionError:
+            raise EnvelopeError("envelope JSON is nested too deeply") from None
         return cls.from_obj(obj, graph_cache=graph_cache)
 
     def __repr__(self) -> str:

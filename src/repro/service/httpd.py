@@ -313,6 +313,9 @@ class _Handler(BaseHTTPRequestHandler):
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             self._error(400, f"batch body is not valid JSON: {error}")
             return
+        except RecursionError:
+            self._error(400, "batch body JSON is nested too deeply")
+            return
         envelopes = obj.get("envelopes") if isinstance(obj, dict) else None
         if not isinstance(envelopes, list):
             self._error(400, 'batch body must be {"envelopes": [...]}')

@@ -140,6 +140,46 @@ class TestCertificateColumns:
         assert scheme.run(config, swapped) == _oracle(scheme, config, swapped)
 
 
+@pytest.mark.parametrize("name", ("spanning-tree-ptr", "bfs-tree"))
+class TestDistanceHandOff:
+    """The pointer marker leaves its BFS distances on the CSR for one
+    prover; whichever config comes next, the provers equal the dict
+    prover, and only the marker's own root reuses the distances."""
+
+    def _prove(self, scheme, config):
+        with obs.collect("t") as metrics:
+            certificates = batch_prove(scheme, config)
+        assert dict(certificates) == scheme.prove(config)
+        return metrics.counter("traversal.sweeps")
+
+    def test_provers_equal_the_dict_prover(self, name):
+        graph = random_tree(3_000, make_rng(71))
+        csr = graph.csr()
+        scheme = catalog.get(name).build(graph=graph, rng=make_rng(72))
+        language = scheme.language
+        first = language.member_configuration(graph, rng=make_rng(73))
+        assert len(csr.dist_handoff) == 1
+        assert self._prove(scheme, first) == 0  # the marker's distances
+        assert not csr.dist_handoff
+        assert self._prove(scheme, first) == 1  # consumed: traverse again
+        # Another root on the same graph replaces the entry; the first
+        # config's root misses it and the slot is emptied.
+        other = language.member_configuration(graph, rng=make_rng(74))
+        assert dict(first.labeling) != dict(other.labeling)
+        assert self._prove(scheme, first) == 1
+        assert self._prove(scheme, other) == 1
+        for seed in range(6):
+            bad = language.corrupted_configuration(
+                graph, seed + 1, rng=make_rng(80 + seed)
+            )
+            assert len(csr.dist_handoff) == 1
+            sweeps = self._prove(scheme, bad)
+            assert not csr.dist_handoff
+            if name == "spanning-tree-ptr":
+                # On a tree every changed pointer breaks the check.
+                assert sweeps == 1
+
+
 class TestColumnBackedConfiguration:
     def _pair(self, name, n=30):
         graph = random_tree(n, make_rng(41))
@@ -205,6 +245,19 @@ class TestCostCounters:
             as_dict = scheme.run(config, dict(certificates))
         assert metrics.counter("decide.batch.interned") > 0
         assert as_dict == verdict
+
+    def test_pipeline_op_traverses_the_graph_once(self, name):
+        """Sample -> verdict sweeps the graph once: the leader prover's
+        BFS, or the pointer marker's, whose distances its prover reuses."""
+        with obs.collect("t") as metrics:
+            graph = random_tree(10_000, make_rng(54))
+            scheme = catalog.get(name).build(graph=graph, rng=make_rng(55))
+            config = scheme.language.member_configuration(graph, rng=make_rng(55))
+            certificates = batch_prove(scheme, config)
+            assert scheme.run(config, certificates).all_accept
+        assert metrics.counter("traversal.sweeps") == 1
+        depth = int(certificates.arrays.column("dist").max())
+        assert metrics.counter("traversal.levels") == depth > 0
 
 
 class TestMaskVerdict:

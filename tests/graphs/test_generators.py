@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -119,7 +121,9 @@ class TestRandomFamilies:
         assert g.num_edges == n - 1 if n > 0 else 0
         assert is_connected(g)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 1000])
+    # Sizes on both sides of powers of two: randrange(n) rejects about
+    # half its words at n = 1025 or 65537 and none at n = 1024.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 1000, 1023, 1024, 1025, 65537])
     @pytest.mark.parametrize("seed", [0, 1, 9, 2024])
     def test_random_tree_is_the_pruefer_decode_of_its_draws(self, n, seed):
         rng, oracle_rng = make_rng(seed), make_rng(seed)
@@ -132,6 +136,19 @@ class TestRandomFamilies:
         assert graph == expected
         # Same draws, so the rng is left at the same position.
         assert rng.random() == oracle_rng.random()
+
+    def test_random_tree_from_a_subclass_makes_the_calls(self):
+        class Counting(random.Random):
+            calls = 0
+
+            def randrange(self, *args):
+                Counting.calls += 1
+                return super().randrange(*args)
+
+        rng, plain = Counting(7), make_rng(7)
+        assert random_tree(300, rng) == random_tree(300, plain)
+        assert Counting.calls == 298
+        assert rng.getstate() == plain.getstate()
 
     def test_random_tree_deterministic(self):
         assert random_tree(20, make_rng(9)) == random_tree(20, make_rng(9))

@@ -15,16 +15,22 @@ from repro.service.httpd import make_server
 
 
 @pytest.fixture
-def server_url():
+def served():
+    """``(url, server)`` of a threaded server on a free port."""
     service = CertificationService()
     server = make_server(port=0, service=service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
+    yield f"http://{host}:{port}", server
     server.shutdown()
     server.server_close()
     service.close()
+
+
+@pytest.fixture
+def server_url(served):
+    return served[0]
 
 
 def _get(url):
@@ -251,3 +257,31 @@ class TestBodyFraming:
         raw = b"".join(chunks)
         assert raw.split(b"\r\n", 1)[0].endswith(b"400 Bad Request")
         assert b"truncated" in raw
+
+
+class TestDeeplyNestedJson:
+    """A 10⁵-deep array exhausts ``json``'s recursion; every entry point
+    must refuse it as a malformed submission, never crash a handler."""
+
+    DEEP = b"[" * 100_000 + b"]" * 100_000
+
+    def test_in_process_submit_raises_service_error(self):
+        from repro.errors import EnvelopeError, ServiceError
+        from repro.service.envelope import ProofEnvelope
+
+        with pytest.raises(EnvelopeError, match="nested"):
+            ProofEnvelope.from_bytes(self.DEEP)
+        service = CertificationService()
+        try:
+            with pytest.raises(ServiceError, match="nested"):
+                service.submit(self.DEEP)
+        finally:
+            service.close()
+
+    def test_both_routes_reply_400(self, served):
+        url, server = served
+        for route in ("/certify", "/certify-batch"):
+            status, body = _post(url + route, self.DEEP)
+            assert status == 400 and "nested" in body["error"], route
+        assert _get(url + "/healthz")[0] == 200
+        assert not server.errors, list(server.errors)
