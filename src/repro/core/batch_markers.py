@@ -143,7 +143,7 @@ def _spanning_tree_ptr_marker(language, graph, ids, rng):
     hand_off_dist(csr, root, dist)
     if not csr.num_entries:
         return _pointer_column(np.zeros(n, dtype=np.int64), root)
-    return _pointer_column(csr.back_ports[np.maximum(entry, 0)], root)
+    return _pointer_column(csr.back_port_at(np.maximum(entry, 0)), root)
 
 
 @batch_marker(("repro.schemes.spanning_tree", "SpanningTreeListLanguage"))
@@ -164,7 +164,7 @@ def _spanning_tree_list_marker(language, graph, ids, rng):
     # listed from both ends as a port.
     tree = entry[dist > 0]
     ends = np.concatenate([csr.indices[tree], csr.owners[tree]])
-    ports = np.concatenate([csr.back_ports[tree], csr.ports[tree]])
+    ports = np.concatenate([csr.back_port_at(tree), csr.port_at(tree)])
     order = np.argsort(ends, kind="stable")
     ports = ports[order].tolist()
     starts = np.concatenate(
@@ -321,7 +321,7 @@ def _gap_tree_weight_marker(language, graph, ids, rng):
     _, _, entry = bfs_arrays_indexed(n, sub_indptr, csr.indices[tj], root)
     if not tj.size:
         return _pointer_column(np.zeros(n, dtype=np.int64), root)
-    return _pointer_column(csr.back_ports[tj[np.maximum(entry, 0)]], root)
+    return _pointer_column(csr.back_port_at(tj[np.maximum(entry, 0)]), root)
 
 
 # ---------------------------------------------------------------------------

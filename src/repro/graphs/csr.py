@@ -13,17 +13,23 @@ columns the batched deciders need:
 ``owners``
     ``owners[j]`` is the node whose half-edge ``j`` is (the row index,
     materialised for ``bincount``-style per-node reductions).
-``ports``
-    ``ports[j] = j - indptr[owners[j]]`` — the port of entry ``j``.
 ``reverse``
     ``reverse[j]`` is the index of the opposite half-edge (``v`` looking
     back at ``u``).
-``back_ports``
-    ``back_ports[j] = reverse[j] - indptr[indices[j]]`` — the port
-    through which the neighbor behind entry ``j`` sees the owner (the
-    ``back_port`` of a :class:`~repro.core.verifier.Glimpse`).
 ``weights``
     Per-half-edge ``float64`` weights, or ``None`` on unweighted graphs.
+``orientation``
+    On a spanning tree built by :func:`csr_from_tree_columns`,
+    ``orientation[v]`` (``v < n - 1``) is the half-edge from ``v`` to
+    its parent toward node ``n - 1``; ``None`` on every other graph.
+
+Ports are arithmetic on those columns, computed only for the entries
+asked about: :meth:`CSRGraph.port_at` gives ``j - indptr[owners[j]]``,
+the port of entry ``j``, and :meth:`CSRGraph.back_port_at` gives
+``reverse[j] - indptr[indices[j]]``, the port through which the
+neighbor behind entry ``j`` sees the owner (the ``back_port`` of a
+:class:`~repro.core.verifier.Glimpse`).  The markers ask for one port
+per node, so no ``2m`` port column lives as long as the graph.
 
 One builder, :func:`csr_from_columns`, makes the structure from two
 edge columns with one argsort of the ``owner * n + neighbor`` keys of
@@ -34,6 +40,10 @@ read at each half-edge's partner.  It also does the edge checks of
 storage; a tuple-built graph feeds its edges to the same builder
 (:func:`build_csr`) on the first :meth:`Graph.csr` and keeps the
 result — graphs are immutable, so it can never go stale.
+:func:`csr_from_tree_columns` is the same builder for a tree given as
+child → parent edges; it keeps that orientation, which lets
+:func:`~repro.graphs.traversal_arrays.bfs_arrays` skip the frontier
+loop.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from repro.errors import GraphError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.graphs.graph import Graph
 
-__all__ = ["CSRGraph", "build_csr", "csr_from_columns"]
+__all__ = ["CSRGraph", "build_csr", "csr_from_columns", "csr_from_tree_columns"]
 
 
 @dataclass(frozen=True)
@@ -60,10 +70,12 @@ class CSRGraph:
     indptr: np.ndarray
     indices: np.ndarray
     owners: np.ndarray
-    ports: np.ndarray
     reverse: np.ndarray
-    back_ports: np.ndarray
     weights: np.ndarray | None
+    #: Half-edge toward the parent, per node but ``n - 1``, on an
+    #: oriented spanning tree (see :func:`csr_from_tree_columns`);
+    #: int32 unless ``2m`` needs more.
+    orientation: np.ndarray | None = field(default=None, repr=False, compare=False)
     #: At most one ``root -> dist`` BFS column a marker left for the
     #: next prover (see :func:`~repro.graphs.traversal_arrays.hand_off_dist`).
     dist_handoff: dict = field(
@@ -81,6 +93,14 @@ class CSRGraph:
         """Neighbors of ``u`` in port order (a zero-copy slice)."""
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
+    def port_at(self, entries: np.ndarray) -> np.ndarray:
+        """Each entry's port at its owner."""
+        return entries - self.indptr[self.owners[entries]]
+
+    def back_port_at(self, entries: np.ndarray) -> np.ndarray:
+        """The port through which each entry's neighbor sees its owner."""
+        return self.reverse[entries] - self.indptr[self.indices[entries]]
+
 
 def csr_from_columns(n: int, us, vs, weights=None) -> CSRGraph:
     """The CSR of the graph on ``0..n-1`` with edges ``(us[i], vs[i])``.
@@ -91,6 +111,25 @@ def csr_from_columns(n: int, us, vs, weights=None) -> CSRGraph:
     the same order (out of range, self-loop, duplicate in either
     orientation, or a negative ``n``).
     """
+    return _build(n, us, vs, weights, oriented=False)
+
+
+def csr_from_tree_columns(n: int, children, parents) -> CSRGraph:
+    """The CSR of the tree with edges ``children[i] -> parents[i]``,
+    keeping that orientation toward node ``n - 1`` as ``orientation``.
+
+    Every node but ``n - 1`` must be a child exactly once, and every
+    parent ``n - 1`` or a *later* child — the order in which a Prüfer
+    decoder emits them.  Parents then lie strictly further along the
+    columns, so no pointer chain can cycle and the edges are a spanning
+    tree; the checks are O(n).  They raise :class:`GraphError` after
+    the range and self-loop checks of :func:`csr_from_columns` and
+    before its duplicate check.
+    """
+    return _build(n, children, parents, None, oriented=True)
+
+
+def _build(n: int, us, vs, weights, oriented: bool) -> CSRGraph:
     if n < 0:
         raise GraphError(f"negative node count {n}")
     us = np.asarray(us, dtype=np.int64)
@@ -102,6 +141,8 @@ def csr_from_columns(n: int, us, vs, weights=None) -> CSRGraph:
     if bad.any():
         _raise_first_invalid(n, us, vs, int(bad.argmax()))
     del bad
+    if oriented:
+        _check_tree_order(n, us, vs)
     # Half-edge h < m is (us[h] -> vs[h]); h >= m is its opposite.
     owners = np.concatenate((us, vs))
     indices = np.concatenate((vs, us))
@@ -124,24 +165,42 @@ def csr_from_columns(n: int, us, vs, weights=None) -> CSRGraph:
     total = 2 * m
     inverse = np.empty(total, dtype=np.int64)
     inverse[order] = np.arange(total, dtype=np.int64)
+    orientation = None
+    if oriented:
+        # Kept as long as the graph, so int32 wherever that fits.
+        small = total <= np.iinfo(np.int32).max
+        orientation = np.empty(m, dtype=np.int32 if small else np.int64)
+        orientation[us] = inverse[:m]
     order += m
     order[order >= total] -= total
     reverse = inverse[order]
     del inverse, order
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
-    ports = np.arange(total, dtype=np.int64) - indptr[owners]
-    back_ports = reverse - indptr[indices]
     return CSRGraph(
         n=n,
         indptr=indptr,
         indices=indices,
         owners=owners,
-        ports=ports,
         reverse=reverse,
-        back_ports=back_ports,
         weights=half_weights,
+        orientation=orientation,
     )
+
+
+def _check_tree_order(n: int, children: np.ndarray, parents: np.ndarray) -> None:
+    """Raise unless the in-range columns are a tree in the order of
+    :func:`csr_from_tree_columns`."""
+    m = children.shape[0]
+    if m != n - 1 or np.bincount(children, minlength=n)[:m].min(initial=1) != 1:
+        raise GraphError(f"not every node but {n - 1} is a child exactly once")
+    # Where each node is a child; node n - 1 sits after every child.
+    steps = np.arange(m)
+    at = np.empty(n, dtype=np.int64)
+    at[children] = steps
+    at[n - 1] = m
+    if not (at[parents] > steps).all():
+        raise GraphError(f"a parent precedes its child, so no tree toward {n - 1}")
 
 
 def _raise_first_invalid(n: int, us: np.ndarray, vs: np.ndarray, stop: int):

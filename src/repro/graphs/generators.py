@@ -124,19 +124,18 @@ def random_tree(n: int, rng: random.Random | None = None) -> Graph:
 
     The sequence is ``n - 2`` calls of ``rng.randrange(n)``; the tree
     and the rng position afterwards are exactly those calls' outcome,
-    whichever way :func:`_pruefer_draws` reads them.
+    whichever way :func:`_pruefer_draws` reads them.  The decoder's
+    child → parent edges toward node ``n - 1`` are kept as the CSR's
+    orientation (see :func:`~repro.graphs.csr.csr_from_tree_columns`).
     """
     _require(n >= 1, "tree needs n >= 1")
     rng = rng or make_rng()
     if n <= 2:
-        return path_graph(n)
-    sequence = _pruefer_draws(n, rng)
+        return Graph._from_tree_columns(n, range(n - 1), [n - 1] * (n - 1))
+    degree, sequence = _degrees(n, _pruefer_draws(n, rng))
     # Linear-time Prüfer decoding: ``leaf`` is always the smallest
     # current leaf, either the node just reduced to degree 1 (if below
     # the scan pointer) or the next degree-1 node past the pointer.
-    degree = [1] * n
-    for v in sequence:
-        degree[v] += 1
     next_leaf = degree.index
     pointer = leaf = next_leaf(1)
     leaves = array("q")
@@ -151,26 +150,40 @@ def random_tree(n: int, rng: random.Random | None = None) -> Graph:
     leaves.append(leaf)
     heads = array("q", sequence)
     heads.append(n - 1)
-    return Graph.from_columns(n, leaves, heads)
+    # Each leaf's head is its parent toward n-1, removed later or never.
+    return Graph._from_tree_columns(n, leaves, heads)
 
 
-def _pruefer_draws(n: int, rng: random.Random) -> list[int]:
+def _degrees(n: int, draws) -> tuple[list[int], list[int]]:
+    """Each node's degree in the decoded tree (one plus its count among
+    ``draws``), and the draws as a list."""
+    if isinstance(draws, list):  # numpy-free, or drawn call by call
+        degree = [1] * n
+        for v in draws:
+            degree[v] += 1
+        return degree, draws
+    import numpy as np
+
+    return (np.bincount(draws, minlength=n) + 1).tolist(), draws.tolist()
+
+
+def _pruefer_draws(n: int, rng: random.Random):
     """``[rng.randrange(n) for _ in range(n - 2)]``, read in bulk when it can.
 
     For a plain ``random.Random`` and ``n < 2**32``, CPython's
     ``randrange(n)`` is ``_randbelow_with_getrandbits``: it takes one
     32-bit Mersenne Twister word per try, keeps its top
     ``n.bit_length()`` bits and rejects values ``>= n``.  With numpy the
-    words come from ``getrandbits`` in bulk and are filtered as columns;
-    the rng is then rewound and advanced by exactly the words the
-    accepted draws used, so it ends where the calls would leave it.  A
-    subclass (which may override any of this) or a larger ``n`` makes
-    the calls.
+    words come from ``getrandbits`` in bulk and are filtered as columns,
+    and the draws come back as an int64 column; the rng is then rewound
+    and advanced by exactly the words the accepted draws used, so it
+    ends where the calls would leave it.  A subclass (which may override
+    any of this) or a larger ``n`` makes the calls, into a list.
     """
     count = n - 2
     if type(rng) is random.Random and n < 1 << 32:
         try:
-            return _randbelow_column(rng, n, count).tolist()
+            return _randbelow_column(rng, n, count)
         except ImportError:  # numpy is optional; nothing was drawn yet
             pass
     return [rng.randrange(n) for _ in range(count)]

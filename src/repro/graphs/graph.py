@@ -115,11 +115,25 @@ class Graph:
         edge and adjacency tuples are derived on their first read.
         Without numpy it is exactly ``Graph(n, zip(us, vs))``.
         """
+        return cls._columns_built(n, us, vs, oriented=False)
+
+    @classmethod
+    def _from_tree_columns(
+        cls, n: int, children: Sequence[int], parents: Sequence[int]
+    ) -> "Graph":
+        """:meth:`from_columns` for a tree given as ``children[i] ->
+        parents[i]`` edges toward node ``n - 1``, whose CSR keeps that
+        orientation (see :func:`~repro.graphs.csr.csr_from_tree_columns`)."""
+        return cls._columns_built(n, children, parents, oriented=True)
+
+    @classmethod
+    def _columns_built(cls, n: int, us, vs, oriented: bool) -> "Graph":
         try:
-            from repro.graphs.csr import csr_from_columns
+            from repro.graphs.csr import csr_from_columns, csr_from_tree_columns
         except ImportError:
             return cls(n, zip(us, vs))
-        csr = csr_from_columns(n, us, vs)
+        build = csr_from_tree_columns if oriented else csr_from_columns
+        csr = build(n, us, vs)
         graph = cls.__new__(cls)
         graph._n = n
         graph._weights = None

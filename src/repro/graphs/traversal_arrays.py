@@ -2,13 +2,14 @@
 
 The dict traversal (:mod:`repro.graphs.traversal`) is the semantic
 reference: FIFO BFS discovering each node's neighbors in port order.
-These kernels recompute the *same* functions as numpy frontier sweeps
-over :class:`~repro.graphs.csr.CSRGraph` columns — one array pass per
-BFS layer instead of one dict operation per half-edge — which is what
-lets the batched marker/prover kernels (:mod:`repro.core.batch_markers`)
-generate labeled instances at n = 10⁶.
+These kernels recompute the *same* functions over
+:class:`~repro.graphs.csr.CSRGraph` columns — whole-array passes instead
+of one dict operation per half-edge — which is what lets the batched
+marker/prover kernels (:mod:`repro.core.batch_markers`) generate
+labeled instances at n = 10⁶.
 
-Equivalence contract (pinned by ``tests/core/test_batch_generation.py``):
+Equivalence contract (pinned by ``tests/core/test_batch_generation.py``
+and ``tests/graphs/test_traversal_arrays.py``):
 
 * :func:`bfs_arrays` returns the exact ``dist``/``parent`` maps of
   :func:`repro.graphs.traversal.bfs` — including which neighbor becomes
@@ -22,10 +23,18 @@ Equivalence contract (pinned by ``tests/core/test_batch_generation.py``):
 Sentinels are ``-1`` throughout (no parent / unreached / no depth), so
 every output column is a plain ``int64`` array.
 
-Each sweep bumps the ``repro.obs`` counters ``traversal.sweeps`` (one
-per call) and ``traversal.levels`` (frontier layers after the first),
-a deterministic unit for the per-level numpy overhead that dominates
-deep graphs.
+General graphs take a frontier sweep, one array pass per BFS layer
+(:func:`bfs_arrays_indexed`).  A CSR that carries a tree orientation
+(:func:`~repro.graphs.csr.csr_from_tree_columns`, which ``random_tree``
+uses) needs none: a tree's BFS parent is unique, so flipping the
+orientation along the root → ``n - 1`` path gives every parent, and
+:func:`pointer_depths` gives the distances by pointer doubling in about
+log₂(depth) gathers, however deep the tree.
+
+Each call bumps the ``repro.obs`` counter ``traversal.sweeps`` once,
+``traversal.levels`` by the frontier layers after the first, and
+``traversal.rounds`` by the pointer-doubling rounds — deterministic
+units for the per-layer and per-round numpy overhead.
 
 A marker that has run the BFS a prover will need leaves its ``dist``
 column on the CSR with :func:`hand_off_dist`; the prover takes it with
@@ -50,9 +59,10 @@ __all__ = [
 ]
 
 
-def _count_sweep(levels: int) -> None:
+def _count_sweep(levels: int = 0, rounds: int = 0) -> None:
     _metrics.inc("traversal.sweeps")
     _metrics.inc("traversal.levels", levels)
+    _metrics.inc("traversal.rounds", rounds)
 
 
 def hand_off_dist(csr, root: int, dist: np.ndarray) -> None:
@@ -90,8 +100,8 @@ def bfs_arrays_indexed(
       ``parent[v] → v`` that discovered ``v`` (``-1`` where parent is).
 
     ``entry`` is what lets callers recover ports: on the graph's own CSR,
-    ``csr.back_ports[entry[v]]`` is ``v``'s port toward its parent and
-    ``csr.ports[entry[v]]`` the parent's port toward ``v``.  Callers
+    ``csr.back_port_at(entry)[v]`` is ``v``'s port toward its parent and
+    ``csr.port_at(entry)[v]`` the parent's port toward ``v``.  Callers
     running over a *sub*-CSR (a masked half-edge subset) pass their own
     ``indptr``/``indices`` and map ``entry`` back through their mask.
     """
@@ -99,7 +109,7 @@ def bfs_arrays_indexed(
     parent = np.full(n, -1, dtype=np.int64)
     entry = np.full(n, -1, dtype=np.int64)
     if n == 0:
-        _count_sweep(0)
+        _count_sweep()
         return dist, parent, entry
     dist[root] = 0
     frontier = np.array([root], dtype=np.int64)
@@ -136,8 +146,40 @@ def bfs_arrays_indexed(
 
 
 def bfs_arrays(csr, root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`bfs_arrays_indexed` on a graph's own CSR mirror."""
+    """:func:`bfs_arrays_indexed` on a graph's own CSR mirror.
+
+    On a CSR with a tree ``orientation`` the three columns come from a
+    re-root and :func:`pointer_depths` instead of a frontier sweep.
+    """
+    if csr.orientation is not None:
+        return _tree_bfs(csr, root)
     return bfs_arrays_indexed(csr.n, csr.indptr, csr.indices, root)
+
+
+def _tree_bfs(csr, root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`bfs_arrays` on a spanning tree oriented toward ``n - 1``.
+
+    Only the nodes on the path from ``root`` to ``n - 1`` change parent
+    when the tree is re-rooted at ``root``: each now points back at the
+    previous one, through the half-edge that node used to point up by.
+    """
+    up = csr.orientation
+    last = csr.n - 1
+    parent = np.empty(csr.n, dtype=np.int64)
+    parent[:last] = csr.indices[up]
+    parent[last] = -1
+    path = [root]
+    while path[-1] != last:
+        path.append(int(parent[path[-1]]))
+    path = np.array(path, dtype=np.int64)
+    parent[path[1:]] = path[:-1]
+    parent[root] = -1
+    dist = pointer_depths(parent)
+    entry = np.empty(csr.n, dtype=np.int64)
+    entry[:last] = csr.reverse[up]
+    entry[path[1:]] = up[path[:-1]]
+    entry[root] = -1
+    return dist, parent, entry
 
 
 def pointer_depths(parent: np.ndarray) -> np.ndarray:
@@ -149,32 +191,33 @@ def pointer_depths(parent: np.ndarray) -> np.ndarray:
     pointer cycle — or whose chain feeds into one — have no depth and
     return ``-1``, exactly the nodes absent from
     ``PointerStructure.depth``.
+
+    Pointer doubling: after round ``k``, ``jump[v]`` is ``2**k``
+    pointers above ``v`` or the root its chain reached first, and
+    ``hops[v]`` counts the pointers followed.  No depth exceeds
+    ``n - 1``, so ``(n - 1).bit_length()`` rounds reach every root that
+    can be reached, and the rounds stop early once no jump moves —
+    which happens only when every chain that reaches a root has.
     """
     n = parent.shape[0]
-    depth = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        _count_sweep(0)
-        return depth
-    # Group children by parent: a stable argsort puts the -1 (root)
-    # entries first, then each parent's children contiguously.
-    order = np.argsort(parent, kind="stable")
-    rooted = parent >= 0
-    children = order[int(n - rooted.sum()):]
-    counts = np.bincount(parent[rooted], minlength=n)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    frontier = np.flatnonzero(~rooted)
-    depth[frontier] = 0
-    d = 0
-    while frontier.size:
-        cs = starts[frontier]
-        cf = starts[frontier + 1] - cs
-        total = int(cf.sum())
-        if total == 0:
+    has_parent = parent >= 0
+    jump = parent.copy()
+    roots = np.flatnonzero(~has_parent)
+    jump[roots] = roots
+    hops = has_parent.astype(np.int64)
+    ahead, gathered = np.empty_like(jump), np.empty_like(hops)
+    rounds = 0
+    while rounds < max(n - 1, 0).bit_length():
+        # Every index is a node, so "clip" only skips the bounds check.
+        np.take(jump, jump, out=ahead, mode="clip")
+        if np.array_equal(ahead, jump):
             break
-        before = np.cumsum(cf) - cf
-        idx = np.repeat(cs - before, cf) + np.arange(total)
-        d += 1
-        frontier = children[idx]
-        depth[frontier] = d
-    _count_sweep(d)
-    return depth
+        np.take(hops, jump, out=gathered, mode="clip")
+        hops += gathered
+        jump, ahead = ahead, jump
+        rounds += 1
+    del ahead, gathered
+    # Chains that never reached a root end on or feeding a cycle.
+    hops[has_parent[jump]] = -1
+    _count_sweep(rounds=rounds)
+    return hops

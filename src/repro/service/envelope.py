@@ -102,6 +102,13 @@ def _decode_assignment(obj: Any) -> dict[int, Any]:
     return certificates
 
 
+def _declared_node_count(obj: Any) -> int | None:
+    """The ``n`` a graph object declares, if it is an int at all (the
+    graph parse reports anything else)."""
+    n = obj.get("n") if isinstance(obj, dict) else None
+    return n if isinstance(n, int) and not isinstance(n, bool) else None
+
+
 @dataclass(frozen=True)
 class ProofEnvelope:
     """One certification request in canonical, durable form.
@@ -233,8 +240,10 @@ class ProofEnvelope:
         """Parse and validate a wire object.
 
         Strict: unknown format tags, malformed sections, non-string
-        nonces, and a graph payload that does not hash to its declared
-        binding all raise :class:`~repro.errors.EnvelopeError`.
+        nonces, a labeling whose size is not the graph's declared ``n``
+        (checked before the graph is built), and a graph payload that
+        does not hash to its declared binding all raise
+        :class:`~repro.errors.EnvelopeError`.
 
         ``graph_cache`` maps graph hashes to already-parsed graphs; when
         the wire object's declared ``graph_hash`` is present there, the
@@ -264,12 +273,25 @@ class ProofEnvelope:
             cached_graph = graph_cache.get(declared)
         try:
             params = decode_value(obj.get("params"))
+            # The labeling first: a graph is only built once the
+            # labeling fits its declared size, so a short body cannot
+            # make the parse allocate a large graph.
+            labeling = Labeling.from_obj(obj.get("labeling"))
+            declared_n = (
+                cached_graph.n
+                if cached_graph is not None
+                else _declared_node_count(obj.get("graph"))
+            )
+            if declared_n is not None and declared_n != len(labeling):
+                raise EnvelopeError(
+                    "labeling does not fit the graph: "
+                    "labeling does not cover the graph's nodes"
+                )
             graph = (
                 cached_graph
                 if cached_graph is not None
                 else graph_from_obj(obj.get("graph"))
             )
-            labeling = Labeling.from_obj(obj.get("labeling"))
         except CanonicalError as error:
             raise EnvelopeError(str(error)) from None
         if not isinstance(params, dict) or not all(

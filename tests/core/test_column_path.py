@@ -180,6 +180,29 @@ class TestDistanceHandOff:
                 assert sweeps == 1
 
 
+@pytest.mark.parametrize("name", TREE_SCHEMES)
+def test_oriented_tree_and_its_tuple_built_twin_agree(name):
+    """The marker and provers traverse a ``random_tree`` by its kept
+    orientation and a tuple-built copy by frontier sweeps; configs,
+    certificates and verdicts are the same, honest or corrupted."""
+    graph = random_tree(2_000, make_rng(61))
+    twin = Graph(graph.n, graph.edges())
+    assert graph.csr().orientation is not None and twin.csr().orientation is None
+    seen = []
+    for g in (graph, twin):
+        scheme, config, certificates = _instance(name, g, seed=62)
+        outcome = [dict(config.labeling), dict(certificates)]
+        outcome.append(scheme.run(config, certificates))
+        for seed in (1, 3):
+            bad = scheme.language.corrupted_configuration(g, seed, rng=make_rng(seed))
+            reproved = batch_prove(scheme, bad)
+            outcome += [dict(reproved), scheme.run(bad, reproved)]
+            outcome.append(scheme.run(bad, certificates).rejects)
+        seen.append(outcome)
+    assert seen[0] == seen[1]
+    assert seen[0][2].all_accept and seen[0][5]
+
+
 class TestColumnBackedConfiguration:
     def _pair(self, name, n=30):
         graph = random_tree(n, make_rng(41))
@@ -248,16 +271,28 @@ class TestCostCounters:
 
     def test_pipeline_op_traverses_the_graph_once(self, name):
         """Sample -> verdict sweeps the graph once: the leader prover's
-        BFS, or the pointer marker's, whose distances its prover reuses."""
-        with obs.collect("t") as metrics:
-            graph = random_tree(10_000, make_rng(54))
-            scheme = catalog.get(name).build(graph=graph, rng=make_rng(55))
-            config = scheme.language.member_configuration(graph, rng=make_rng(55))
-            certificates = batch_prove(scheme, config)
-            assert scheme.run(config, certificates).all_accept
-        assert metrics.counter("traversal.sweeps") == 1
-        depth = int(certificates.arrays.column("dist").max())
-        assert metrics.counter("traversal.levels") == depth > 0
+        BFS, or the pointer marker's, whose distances its prover reuses.
+        On a random tree that sweep is a re-root plus pointer doubling
+        with no frontier layer; a tuple-built copy of the same tree has
+        no orientation and walks every layer."""
+        n = 10_000
+
+        def op(make_graph):
+            with obs.collect("t") as metrics:
+                graph = make_graph()
+                scheme = catalog.get(name).build(graph=graph, rng=make_rng(55))
+                config = scheme.language.member_configuration(graph, rng=make_rng(55))
+                certificates = batch_prove(scheme, config)
+                assert scheme.run(config, certificates).all_accept
+            assert metrics.counter("traversal.sweeps") == 1
+            depth = int(certificates.arrays.column("dist").max())
+            levels = metrics.counter("traversal.levels")
+            return depth, levels, metrics.counter("traversal.rounds")
+
+        tree = random_tree(n, make_rng(54))
+        depth, levels, rounds = op(lambda: random_tree(n, make_rng(54)))
+        assert levels == 0 and 0 < rounds <= n.bit_length()
+        assert op(lambda: Graph(n, tree.edges())) == (depth, depth, 0)
 
 
 class TestMaskVerdict:

@@ -41,16 +41,16 @@ def _assert_mirrors(graph):
     for j in range(csr.num_entries):
         u = int(csr.owners[j])
         v = int(csr.indices[j])
-        port = int(csr.ports[j])
+        port = int(csr.port_at(j))
         assert graph.neighbor_at(u, port) == v
         assert graph.port(u, v) == port
-        # The reverse entry is the opposite half-edge, and back_ports is
-        # the port through which v sees u.
+        # The reverse entry is the opposite half-edge, and back_port_at
+        # is the port through which v sees u.
         r = int(csr.reverse[j])
         assert int(csr.owners[r]) == v
         assert int(csr.indices[r]) == u
         assert int(csr.reverse[r]) == j
-        assert graph.port(v, u) == int(csr.back_ports[j])
+        assert graph.port(v, u) == int(csr.back_port_at(j))
     if graph.is_weighted:
         for j in range(csr.num_entries):
             u, v = int(csr.owners[j]), int(csr.indices[j])
@@ -119,7 +119,7 @@ def test_isolated_nodes_have_empty_rows():
     assert csr.degrees().tolist() == [1, 1, 0, 1, 1]
 
 
-CSR_COLUMNS = ("indptr", "indices", "owners", "ports", "reverse", "back_ports")
+CSR_COLUMNS = ("indptr", "indices", "owners", "reverse")
 
 
 def _shuffled_columns(graph, seed):

@@ -285,3 +285,68 @@ class TestDeeplyNestedJson:
             assert status == 400 and "nested" in body["error"], route
         assert _get(url + "/healthz")[0] == 200
         assert not server.errors, list(server.errors)
+
+
+class TestLabelingMustFitTheDeclaredGraph:
+    """A few hundred bytes that declare a graph of 3·10⁶ nodes, under a
+    matching graph hash, but carry a three-node labeling are refused
+    before any graph is built."""
+
+    MESSAGE = (
+        "labeling does not fit the graph: "
+        "labeling does not cover the graph's nodes"
+    )
+
+    @staticmethod
+    def _body(n=3_000_000, relabel=None):
+        from repro.graphs.serialize import GRAPH_HASH_DOMAIN
+        from repro.util.canonical import canonical_bytes, domain_hash
+
+        obj = build_envelope("leader", n=3, honest_certificates=False).to_obj()
+        obj["graph"]["n"] = n
+        obj["graph_hash"] = domain_hash(
+            GRAPH_HASH_DOMAIN, canonical_bytes(obj["graph"])
+        )
+        if relabel is not None:
+            obj["labeling"][-1][0] = relabel
+        return canonical_bytes(obj)
+
+    def test_in_process_rejects_before_building_the_graph(self):
+        import time
+
+        from repro.errors import EnvelopeError, ServiceError
+        from repro.service.envelope import ProofEnvelope
+
+        body = self._body()
+        assert len(body) < 1000
+        start = time.perf_counter()
+        with pytest.raises(EnvelopeError) as parsed:
+            ProofEnvelope.from_bytes(body)
+        service = CertificationService()
+        try:
+            with pytest.raises(ServiceError) as submitted:
+                service.submit(body)
+        finally:
+            service.close()
+        assert time.perf_counter() - start < 0.2
+        assert str(parsed.value) == str(submitted.value) == self.MESSAGE
+
+    def test_the_graph_cache_path_checks_too(self):
+        from repro.errors import EnvelopeError
+        from repro.graphs.generators import path_graph
+        from repro.service.envelope import ProofEnvelope
+
+        envelope = build_envelope("leader", n=3, honest_certificates=False)
+        cache = {envelope.graph_hash: path_graph(5)}
+        with pytest.raises(EnvelopeError, match=self.MESSAGE):
+            ProofEnvelope.from_obj(envelope.to_obj(), graph_cache=cache)
+
+    def test_certify_replies_400(self, served):
+        url, server = served
+        status, body = _post(url + "/certify", self._body())
+        assert (status, body["error"]) == (400, self.MESSAGE)
+        # Three states on three nodes, one of them not a node: the size
+        # check passes, and the decide stage refuses it the same way.
+        status, body = _post(url + "/certify", self._body(n=3, relabel=5))
+        assert (status, body["error"]) == (400, self.MESSAGE)
+        assert not server.errors, list(server.errors)
