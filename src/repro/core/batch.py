@@ -90,6 +90,10 @@ __all__ = [
 #: Plain ints wider than this many bits cannot ride in an int64 column.
 _INT_BITS = 62
 
+#: Entries per run of :meth:`BatchContext.any_entry`: its gathers stay
+#: about a megabyte however large the graph.
+_ENTRY_RUN = 1 << 16
+
 
 class BatchFallback(Exception):
     """A register value the array encoding cannot represent faithfully.
@@ -283,6 +287,23 @@ class BatchContext:
         """Per-node AND over each node's entries (empty = True)."""
         return ~self.any_per_entry(~entry_mask)
 
+    def any_entry(
+        self, test: "Callable[[np.ndarray, np.ndarray], np.ndarray]"
+    ) -> "np.ndarray":
+        """:meth:`any_per_entry` of ``test(owners, indices)``, computed on
+        runs of at most :data:`_ENTRY_RUN` entries.
+
+        ``test`` gets each run's owner and neighbor columns and returns
+        its entry mask, so the gathers it makes through them are
+        run-sized scratch, never ``2m``-long.
+        """
+        hit = np.zeros(self.n, dtype=bool)
+        own, nbr = self.csr.owners, self.csr.indices
+        for lo in range(0, self.csr.num_entries, _ENTRY_RUN):
+            owners = own[lo : lo + _ENTRY_RUN]
+            hit[owners[test(owners, nbr[lo : lo + _ENTRY_RUN])]] = True
+        return hit
+
 
 # ---------------------------------------------------------------------------
 # State decoders shared by the deciders and the prover kernels.
@@ -318,9 +339,10 @@ def pointer_states(config: "Configuration"):
     column, nulls = _state_column(config)
     if column is not None and column.dtype in (np.int64, bool):
         state_none = np.zeros(n, dtype=bool) if nulls is None else nulls.copy()
-        values = column.astype(np.int64)
+        values = column.astype(np.int64, copy=False)
         valid = ~state_none & (values >= 0) & (values < degrees)
         port = np.where(valid, values, -1)
+        del values, valid
     else:
         state_none = np.zeros(n, dtype=bool)
         port = np.full(n, -1, dtype=np.int64)
@@ -329,9 +351,12 @@ def pointer_states(config: "Configuration"):
                 state_none[v] = True
             elif isinstance(state, int) and 0 <= state < int(degrees[v]):
                 port[v] = int(state)
-    sel = np.flatnonzero(port >= 0)
+    del degrees
     parent = np.full(n, -1, dtype=np.int64)
-    parent[sel] = csr.indices[csr.indptr[sel] + port[sel]]
+    if csr.num_entries:
+        # A -1 port reads some entry in range; it is masked right after.
+        np.take(csr.indices, csr.indptr[:-1] + port, out=parent, mode="clip")
+        parent[port < 0] = -1
     return state_none, port, parent
 
 

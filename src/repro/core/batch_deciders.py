@@ -23,7 +23,9 @@ mirrors its ``verify`` clause by clause:
   oracle.
 * Per-node reductions go through ``bincount`` over owners
   (:meth:`BatchContext.any_per_entry`) — never ``reduceat``, whose
-  empty segments would mangle isolated nodes.
+  empty segments would mangle isolated nodes.  Neighbor tests that
+  gather int64 codes through both ends of every entry go through
+  :meth:`BatchContext.any_entry` instead, a run of entries at a time.
 
 Registration is by ``(module, qualname)`` string so this module imports
 no scheme packages (keeping it loadable mid-registry-population); a
@@ -80,9 +82,10 @@ def _pointer_tree(ctx: BatchContext) -> tuple[np.ndarray, np.ndarray, np.ndarray
     (root_code,) = t.fields
     state_none, port, parent = pointer_states(ctx.config)
 
-    own, nbr = ctx.csr.owners, ctx.csr.indices
-    bad_nb = ~shape[nbr] | (root_code[nbr] != root_code[own])
-    ok = shape & dist_ok & ~ctx.any_per_entry(bad_nb)
+    bad_nb = ctx.any_entry(
+        lambda own, nbr: ~shape[nbr] | (root_code[nbr] != root_code[own])
+    )
+    ok = shape & dist_ok & ~bad_nb
 
     root_accept = (dist == 0) & (t.uid == root_code)
     # ``parent`` is -1 without a valid port: any gather there is masked.
@@ -107,9 +110,10 @@ def _spanning_tree_ptr(scheme, ctx: BatchContext) -> np.ndarray:
 @batch_decider(("repro.schemes.bfs_tree", "BfsTreeScheme"))
 def _bfs_tree(scheme, ctx: BatchContext) -> np.ndarray:
     accept, dist_ok, dist = _pointer_tree(ctx)
-    own, nbr = ctx.csr.owners, ctx.csr.indices
-    far_nb = ~dist_ok[nbr] | (np.abs(dist[nbr] - dist[own]) > 1)
-    return accept & ~ctx.any_per_entry(far_nb)
+    far_nb = ctx.any_entry(
+        lambda own, nbr: ~dist_ok[nbr] | (np.abs(dist[nbr] - dist[own]) > 1)
+    )
+    return accept & ~far_nb
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +128,22 @@ def _leader(scheme, ctx: BatchContext) -> np.ndarray:
     leader_code, parent_code = t.fields
     is_bool, marked = bool_states(ctx.config)
 
-    own, nbr = ctx.csr.owners, ctx.csr.indices
-    bad_nb = ~shape[nbr] | (leader_code[nbr] != leader_code[own])
-    ok = shape & t.dist_ok & is_bool & ~ctx.any_per_entry(bad_nb)
+    bad_nb = ctx.any_entry(
+        lambda own, nbr: ~shape[nbr] | (leader_code[nbr] != leader_code[own])
+    )
+    ok = shape & t.dist_ok & is_bool & ~bad_nb
 
     root_accept = (
         marked & (uid_code == leader_code) & (parent_code == uid_code)
     )
     # Distinct uids: at most one neighbor can match parent_uid, so
     # "the named parent exists and sits one closer" is one entry test.
-    pmatch = (
-        shape[nbr]
+    has_parent = ctx.any_entry(
+        lambda own, nbr: shape[nbr]
         & (uid_code[nbr] == parent_code[own])
         & (t.dist_code[nbr] == t.dm1_code[own])
     )
-    nonroot_accept = ~marked & ctx.any_per_entry(pmatch)
+    nonroot_accept = ~marked & has_parent
     return ok & np.where(t.dist == 0, root_accept, nonroot_accept)
 
 
@@ -216,9 +221,8 @@ def _vertex_cover(scheme, ctx: BatchContext) -> np.ndarray:
 def _agreement(scheme, ctx: BatchContext) -> np.ndarray:
     cert_code = ctx.codes_of(ctx.certs)
     state_code = ctx.codes_of(ctx.states)
-    own, nbr = ctx.csr.owners, ctx.csr.indices
-    disagree = cert_code[nbr] != cert_code[own]
-    return (cert_code == state_code) & ~ctx.any_per_entry(disagree)
+    disagree = ctx.any_entry(lambda own, nbr: cert_code[nbr] != cert_code[own])
+    return (cert_code == state_code) & ~disagree
 
 
 # ---------------------------------------------------------------------------

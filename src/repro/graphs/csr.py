@@ -31,19 +31,22 @@ neighbor behind entry ``j`` sees the owner (the ``back_port`` of a
 :class:`~repro.core.verifier.Glimpse`).  The markers ask for one port
 per node, so no ``2m`` port column lives as long as the graph.
 
-One builder, :func:`csr_from_columns`, makes the structure from two
-edge columns with one argsort of the ``owner * n + neighbor`` keys of
-the ``2m`` half-edges; ``reverse`` is that sort's inverse permutation
-read at each half-edge's partner.  It also does the edge checks of
+:func:`csr_from_columns` makes the structure from two edge columns
+with one argsort of the ``owner * n + neighbor`` keys of the ``2m``
+half-edges; ``reverse`` is that sort's inverse permutation read at each
+half-edge's partner.  It also does the edge checks of
 :class:`~repro.graphs.graph.Graph`, with the same messages.
 :meth:`Graph.from_columns` stores its result as the graph's primary
 storage; a tuple-built graph feeds its edges to the same builder
 (:func:`build_csr`) on the first :meth:`Graph.csr` and keeps the
 result — graphs are immutable, so it can never go stale.
-:func:`csr_from_tree_columns` is the same builder for a tree given as
-child → parent edges; it keeps that orientation, which lets
+:func:`csr_from_tree_columns` builds the same columns for a tree given
+as child → parent edges, and keeps that orientation, which lets
 :func:`~repro.graphs.traversal_arrays.bfs_arrays` skip the frontier
-loop.
+loop.  It needs no permutation: it sorts the keys themselves, splits
+them into ``owners`` and ``indices``, finds each child's up-entry as
+the one pointing at its parent, and pairs every other entry with the
+up-entry of the child it points at for ``reverse``.
 """
 
 from __future__ import annotations
@@ -111,38 +114,8 @@ def csr_from_columns(n: int, us, vs, weights=None) -> CSRGraph:
     the same order (out of range, self-loop, duplicate in either
     orientation, or a negative ``n``).
     """
-    return _build(n, us, vs, weights, oriented=False)
-
-
-def csr_from_tree_columns(n: int, children, parents) -> CSRGraph:
-    """The CSR of the tree with edges ``children[i] -> parents[i]``,
-    keeping that orientation toward node ``n - 1`` as ``orientation``.
-
-    Every node but ``n - 1`` must be a child exactly once, and every
-    parent ``n - 1`` or a *later* child — the order in which a Prüfer
-    decoder emits them.  Parents then lie strictly further along the
-    columns, so no pointer chain can cycle and the edges are a spanning
-    tree; the checks are O(n).  They raise :class:`GraphError` after
-    the range and self-loop checks of :func:`csr_from_columns` and
-    before its duplicate check.
-    """
-    return _build(n, children, parents, None, oriented=True)
-
-
-def _build(n: int, us, vs, weights, oriented: bool) -> CSRGraph:
-    if n < 0:
-        raise GraphError(f"negative node count {n}")
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    if us.shape != vs.shape or us.ndim != 1:
-        raise GraphError("edge columns must be two 1-d columns of equal length")
+    us, vs = _edge_columns(n, us, vs)
     m = us.shape[0]
-    bad = (us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs)
-    if bad.any():
-        _raise_first_invalid(n, us, vs, int(bad.argmax()))
-    del bad
-    if oriented:
-        _check_tree_order(n, us, vs)
     # Half-edge h < m is (us[h] -> vs[h]); h >= m is its opposite.
     owners = np.concatenate((us, vs))
     indices = np.concatenate((vs, us))
@@ -165,27 +138,88 @@ def _build(n: int, us, vs, weights, oriented: bool) -> CSRGraph:
     total = 2 * m
     inverse = np.empty(total, dtype=np.int64)
     inverse[order] = np.arange(total, dtype=np.int64)
-    orientation = None
-    if oriented:
-        # Kept as long as the graph, so int32 wherever that fits.
-        small = total <= np.iinfo(np.int32).max
-        orientation = np.empty(m, dtype=np.int32 if small else np.int64)
-        orientation[us] = inverse[:m]
     order += m
     order[order >= total] -= total
     reverse = inverse[order]
     del inverse, order
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
     return CSRGraph(
         n=n,
-        indptr=indptr,
+        indptr=_indptr(n, owners),
         indices=indices,
         owners=owners,
         reverse=reverse,
         weights=half_weights,
+    )
+
+
+def csr_from_tree_columns(n: int, children, parents) -> CSRGraph:
+    """The CSR of the tree with edges ``children[i] -> parents[i]``,
+    keeping that orientation toward node ``n - 1`` as ``orientation``.
+
+    Every node but ``n - 1`` must be a child exactly once, and every
+    parent ``n - 1`` or a *later* child — the order in which a Prüfer
+    decoder emits them.  Parents then lie strictly further along the
+    columns, so no pointer chain can cycle and the edges are a spanning
+    tree; the checks are O(n).  They raise :class:`GraphError` after
+    the range and self-loop checks of :func:`csr_from_columns`, and
+    they rule out a repeated edge, so this builder makes no duplicate
+    check.  Its columns equal :func:`csr_from_columns`'s.
+    """
+    us, vs = _edge_columns(n, children, parents)
+    _check_tree_order(n, us, vs)
+    m = us.shape[0]
+    # The sorted (owner, neighbor) keys are the CSR; no permutation.
+    key = np.concatenate((us * n + vs, vs * n + us))
+    key.sort()
+    owners = key // n
+    indices = np.remainder(key, n, out=key)
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[us] = vs
+    up = indices == parent[owners]
+    del parent
+    # One up-entry per child, in owner order: node v's is the v-th.
+    # Kept as long as the graph, so int32 wherever that fits.
+    small = 2 * m <= np.iinfo(np.int32).max
+    orientation = np.flatnonzero(up).astype(np.int32 if small else np.int64)
+    # Entry j from a parent down to child c is the opposite of c's
+    # up-entry, and that up-entry's opposite is j.
+    down = np.flatnonzero(~up)
+    del up
+    child_up = orientation[indices[down]]
+    reverse = np.empty(2 * m, dtype=np.int64)
+    reverse[down] = child_up
+    reverse[child_up] = down
+    del down, child_up
+    return CSRGraph(
+        n=n,
+        indptr=_indptr(n, owners),
+        indices=indices,
+        owners=owners,
+        reverse=reverse,
+        weights=None,
         orientation=orientation,
     )
+
+
+def _edge_columns(n: int, us, vs) -> tuple[np.ndarray, np.ndarray]:
+    """``us``/``vs`` as int64 columns, after the range and self-loop
+    checks (and the column-shape and ``n`` checks)."""
+    if n < 0:
+        raise GraphError(f"negative node count {n}")
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    if us.shape != vs.shape or us.ndim != 1:
+        raise GraphError("edge columns must be two 1-d columns of equal length")
+    bad = (us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs)
+    if bad.any():
+        _raise_first_invalid(n, us, vs, int(bad.argmax()))
+    return us, vs
+
+
+def _indptr(n: int, owners: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
+    return indptr
 
 
 def _check_tree_order(n: int, children: np.ndarray, parents: np.ndarray) -> None:

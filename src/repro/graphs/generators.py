@@ -14,6 +14,7 @@ families (lollipop, double clique) useful for adversarial experiments.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from array import array
 from typing import Callable
@@ -124,15 +125,37 @@ def random_tree(n: int, rng: random.Random | None = None) -> Graph:
 
     The sequence is ``n - 2`` calls of ``rng.randrange(n)``; the tree
     and the rng position afterwards are exactly those calls' outcome,
-    whichever way :func:`_pruefer_draws` reads them.  The decoder's
-    child → parent edges toward node ``n - 1`` are kept as the CSR's
-    orientation (see :func:`~repro.graphs.csr.csr_from_tree_columns`).
+    whichever way :func:`_pruefer_draws` reads them.  Bulk draws (an
+    int64 column) decode with :func:`_pruefer_leaves`, call-by-call
+    draws (a list) with the loop of :func:`_pruefer_leaves_loop`; both
+    give the same leaves.  The decoder's child → parent edges toward
+    node ``n - 1`` are kept as the CSR's orientation (see
+    :func:`~repro.graphs.csr.csr_from_tree_columns`).
     """
     _require(n >= 1, "tree needs n >= 1")
     rng = rng or make_rng()
     if n <= 2:
         return Graph._from_tree_columns(n, range(n - 1), [n - 1] * (n - 1))
-    degree, sequence = _degrees(n, _pruefer_draws(n, rng))
+    draws = _pruefer_draws(n, rng)
+    if isinstance(draws, list):  # numpy-free, or drawn call by call
+        leaves, heads = _pruefer_leaves_loop(n, draws), array("q", draws)
+        heads.append(n - 1)
+    else:
+        import numpy as np
+
+        leaves, heads = _pruefer_leaves(n, draws), np.append(draws, n - 1)
+    # Each leaf's head is its parent toward n-1, removed later or never.
+    return Graph._from_tree_columns(n, leaves, heads)
+
+
+def _pruefer_leaves_loop(n: int, sequence: list[int]) -> array:
+    """The leaf removed at each step of decoding Prüfer ``sequence``,
+    then the last node left besides ``n - 1``: the tree's edges are
+    ``leaves[i] -> (sequence + [n - 1])[i]``, each toward its parent.
+    """
+    degree = [1] * n
+    for v in sequence:
+        degree[v] += 1
     # Linear-time Prüfer decoding: ``leaf`` is always the smallest
     # current leaf, either the node just reduced to degree 1 (if below
     # the scan pointer) or the next degree-1 node past the pointer.
@@ -148,23 +171,98 @@ def random_tree(n: int, rng: random.Random | None = None) -> Graph:
             pointer = leaf = next_leaf(1, pointer + 1)
     # The last two leaves are ``leaf`` and node n-1, never removed earlier.
     leaves.append(leaf)
-    heads = array("q", sequence)
-    heads.append(n - 1)
-    # Each leaf's head is its parent toward n-1, removed later or never.
-    return Graph._from_tree_columns(n, leaves, heads)
+    return leaves
 
 
-def _degrees(n: int, draws) -> tuple[list[int], list[int]]:
-    """Each node's degree in the decoded tree (one plus its count among
-    ``draws``), and the draws as a list."""
-    if isinstance(draws, list):  # numpy-free, or drawn call by call
-        degree = [1] * n
-        for v in draws:
-            degree[v] += 1
-        return degree, draws
+def _pruefer_leaves(n: int, draws):
+    """:func:`_pruefer_leaves_loop` of an int64 column, without a loop.
+
+    Node ``v`` becomes a leaf at step ``release[v]``: one past its last
+    position in ``draws``, or 0 if it is absent.  Each step removes the
+    smallest released leaf, so (unit jobs scheduled by id) every node
+    below ``n - 1`` takes, in id order, the earliest step at or after
+    its release that no smaller node took.  Distinct nodes have
+    distinct nonzero releases, so a released node ``u`` is removed at
+    its release exactly when fewer than ``release[u]`` smaller nodes
+    are released before it: ``u`` is *chained*.  Every other node
+    takes the steps the chained ones leave, in step order and id order.
+
+    "Smaller and released earlier" is a dominance count.  A histogram
+    over (release-order block, id bucket), both of about √k for the k
+    released nodes, bounds it from below and above; the few nodes the
+    bounds do not decide count exactly within their own block and
+    bucket.  Uniform draws leave about one node in a thousand open; a
+    sorted sequence leaves nearly all of them, which costs O(k√k).
+    """
     import numpy as np
 
-    return (np.bincount(draws, minlength=n) + 1).tolist(), draws.tolist()
+    steps = n - 1
+    release = np.zeros(n, dtype=np.int64)
+    np.maximum.at(release, draws, np.arange(1, steps, dtype=np.int64))
+    release = release[:steps]  # node n - 1 is never removed
+    # The released nodes, by id; below, "position" is an index here.
+    released = np.flatnonzero(release)
+    k = released.size
+    at = release[released]
+    by_step = np.full(steps, -1, dtype=np.int64)
+    by_step[at] = np.arange(k)
+    in_order = by_step[by_step >= 0]  # positions in release order
+    del by_step
+    rank = np.empty(k, dtype=np.int64)
+    rank[in_order] = np.arange(k)
+    # Chained iff fewer than ``need`` smaller nodes have an earlier
+    # nonzero release; the smaller nodes released at step 0 are counted.
+    need = at - np.cumsum(release == 0)[released]
+    side = math.isqrt(k - 1) + 1 if k else 1
+    cells = -(-k // side)
+    block = rank // side
+    bucket = np.arange(k) // side
+    # below[b, c]: released nodes in blocks < b and buckets < c.
+    below = np.zeros((cells + 1, cells + 1), dtype=np.int64)
+    grid = np.bincount(block * cells + bucket, minlength=cells * cells)
+    np.cumsum(
+        grid.reshape(cells, cells).cumsum(axis=0), axis=1, out=below[1:, 1:]
+    )
+    below = below.ravel()
+    lower = below[block * (cells + 1) + bucket]
+    upper = below[(block + 1) * (cells + 1) + bucket + 1] - 1  # less u itself
+    chained = upper < need
+    open_ = np.flatnonzero((lower < need) & (need <= upper))
+    # Each open node scans at most 2 * side entries; a pass is bounded.
+    per_pass = max(1, (1 << 20) // side)
+    for lo in range(0, open_.size, per_pass):
+        part = open_[lo : lo + per_pass]
+        exact = lower[part]
+        # Same bucket, earlier block: scan the bucket up to u's id.
+        first = bucket[part] * side
+        exact += _count_in_runs(first, part - first, block, block[part])
+        # Same block, any bucket: scan the block up to u's release.
+        first = block[part] * side
+        exact += _count_in_runs(first, rank[part] - first, in_order, part)
+        chained[part] = exact < need[part]
+    leaves = np.empty(steps, dtype=np.int64)
+    chain = released[chained]
+    taken = release[chain]
+    leaves[taken] = chain
+    free = np.ones(steps, dtype=bool)
+    free[taken] = False
+    rest = np.ones(steps, dtype=bool)
+    rest[chain] = False
+    leaves[free] = np.flatnonzero(rest)
+    return leaves
+
+
+def _count_in_runs(starts, lengths, column, bounds):
+    """Per run ``i``, how many of ``column[starts[i]:starts[i] +
+    lengths[i]]`` are below ``bounds[i]``."""
+    import numpy as np
+
+    total = int(lengths.sum())
+    run = np.repeat(np.arange(starts.size), lengths)
+    offsets = np.cumsum(lengths) - lengths - starts
+    positions = np.arange(total) - offsets[run]
+    hits = column[positions] < bounds[run]
+    return np.bincount(run[hits], minlength=starts.size)
 
 
 def _pruefer_draws(n: int, rng: random.Random):

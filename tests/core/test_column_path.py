@@ -13,6 +13,7 @@ families and sizes ``test_batch_generation.py`` uses.
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -201,6 +202,28 @@ def test_oriented_tree_and_its_tuple_built_twin_agree(name):
         seen.append(outcome)
     assert seen[0] == seen[1]
     assert seen[0][2].all_accept and seen[0][5]
+
+
+#: Bytes per node a tree decider may allocate beyond its inputs: the
+#: per-node code columns, plus entry gathers made a run at a time.  Two
+#: live 2m-long int64 gathers read 60-76 bytes per node here.
+DECIDER_SCRATCH_PER_NODE = 56
+
+
+@pytest.mark.parametrize("name", TREE_SCHEMES)
+def test_decider_scratch_is_per_node(name):
+    n = 100_000
+    scheme, config, certificates = _instance(name, random_tree(n, make_rng(13)), 14)
+    scheme.run(config, certificates)  # so only the decider's own work is traced
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verdict = scheme.run(config, certificates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.backend == "array" and verdict.all_accept
+    assert (peak - before) / n <= DECIDER_SCRATCH_PER_NODE
 
 
 class TestColumnBackedConfiguration:

@@ -14,8 +14,14 @@ import sys  # noqa: E402
 import threading  # noqa: E402
 
 from repro.errors import GraphError  # noqa: E402
-from repro.graphs.csr import build_csr  # noqa: E402
+from repro.graphs.csr import (  # noqa: E402
+    build_csr,
+    csr_from_columns,
+    csr_from_tree_columns,
+)
 from repro.graphs.generators import (  # noqa: E402
+    _pruefer_draws,
+    _pruefer_leaves,
     connected_gnp,
     cycle_graph,
     grid_graph,
@@ -163,6 +169,31 @@ def test_from_columns_equals_tuple_built(graph):
     for u, v in expected.edges():
         assert built.port(u, v) == expected.port(u, v)
         assert built.port(v, u) == expected.port(v, u)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 10, 257, 3000])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_tree_columns_equal_the_general_builder(n, seed):
+    # The tree builder sorts keys and never permutes; the general one
+    # argsorts.  Same edges in decoder order must give the same columns.
+    draws = _pruefer_draws(n, make_rng(seed))
+    children, parents = _pruefer_leaves(n, draws), np.append(draws, n - 1)
+    tree = csr_from_tree_columns(n, children, parents)
+    general = csr_from_columns(n, children, parents)
+    for name in CSR_COLUMNS:
+        column = getattr(tree, name)
+        assert column.dtype == getattr(general, name).dtype == np.int64, name
+        assert np.array_equal(column, getattr(general, name)), name
+    assert general.orientation is None
+    up = tree.orientation
+    assert up.dtype == np.int32
+    assert np.array_equal(tree.owners[up], np.arange(n - 1))
+    parent = np.empty(n - 1, dtype=np.int64)
+    parent[children] = parents
+    assert np.array_equal(tree.indices[up], parent)
+    drawn = random_tree(n, make_rng(seed)).csr()
+    for name in (*CSR_COLUMNS, "orientation"):
+        assert np.array_equal(getattr(drawn, name), getattr(tree, name)), name
 
 
 def test_columns_built_graph_copies_and_pickles():
