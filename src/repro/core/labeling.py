@@ -155,24 +155,24 @@ class Labeling(Mapping[int, Any]):
         layer's content hashes require.  States with no canonical form
         raise :class:`~repro.errors.CanonicalError`.
         """
-        from repro.util.canonical import encode_value
+        from repro.util.canonical import encode_pairs
 
-        return [
-            [node, encode_value(state)]
-            for node, state in sorted(self._states.items())
-        ]
+        return encode_pairs(self._states)
 
     @classmethod
     def from_obj(cls, obj: Any) -> "Labeling":
         """Rebuild a labeling from :meth:`to_obj` output (exact round trip)."""
         from repro.errors import CanonicalError
-        from repro.util.canonical import decode_value
+        from repro.util.canonical import decode_pairs, decode_value
 
+        states = decode_pairs(obj)
+        if states is not None:
+            return cls(states)
         if not isinstance(obj, (list, tuple)):
             raise CanonicalError(
                 f"labeling object must be a list, got {type(obj).__name__}"
             )
-        states: dict[int, Any] = {}
+        states = {}
         for pair in obj:
             if (
                 not isinstance(pair, (list, tuple))

@@ -46,7 +46,8 @@ class CertificateAssignment(Mapping[int, Any]):
 
     Sizes are computed through the owning scheme's codec, so
     ``assignment.max_bits`` is the *proof size* of this particular
-    assignment.
+    assignment.  Each certificate is sized once, on the first read of
+    :attr:`max_bits` or :attr:`total_bits`.
     """
 
     def __init__(
@@ -54,6 +55,7 @@ class CertificateAssignment(Mapping[int, Any]):
     ) -> None:
         self._certs = dict(certificates)
         self._scheme = scheme
+        self._sizes: list[int] | None = None
 
     def __getitem__(self, node: int) -> Any:
         return self._certs[node]
@@ -67,13 +69,18 @@ class CertificateAssignment(Mapping[int, Any]):
     def bits(self, node: int) -> int:
         return self._scheme.certificate_bits(self._certs[node])
 
+    def _bit_sizes(self) -> list[int]:
+        if self._sizes is None:
+            self._sizes = [self.bits(v) for v in self._certs]
+        return self._sizes
+
     @property
     def max_bits(self) -> int:
-        return max((self.bits(v) for v in self._certs), default=0)
+        return max(self._bit_sizes(), default=0)
 
     @property
     def total_bits(self) -> int:
-        return sum(self.bits(v) for v in self._certs)
+        return sum(self._bit_sizes())
 
     def replaced(self, node: int, certificate: Any) -> "CertificateAssignment":
         certs = dict(self._certs)

@@ -21,6 +21,7 @@ edge or none).  :func:`graph_hash` is the domain-separated content hash
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 from repro.errors import CanonicalError
@@ -34,6 +35,7 @@ __all__ = [
     "graph_from_obj",
     "graph_hash",
     "graph_to_obj",
+    "parse_graph_obj",
 ]
 
 #: Version tag carried inside every serialized graph.
@@ -65,6 +67,20 @@ def graph_from_obj(obj: Any) -> Graph:
     :class:`~repro.errors.CanonicalError` rather than producing a graph
     that hashes differently from the one serialized.
     """
+    return parse_graph_obj(obj)[0]
+
+
+def parse_graph_obj(obj: Any) -> tuple[Graph, bool]:
+    """:func:`graph_from_obj`, and whether ``obj`` is the graph's
+    canonical form (its :func:`graph_to_obj` output, so its canonical
+    bytes are the graph's).
+
+    An unweighted graph whose edges are all ``[u, v]`` pairs of plain
+    ints is built with :meth:`Graph.from_columns` over int64 columns,
+    which also decide canonicity; it raises the same errors as the
+    tuple build, which every other graph takes and which calls no
+    object canonical.
+    """
     if not isinstance(obj, dict):
         raise CanonicalError(f"graph object must be a dict, got {type(obj).__name__}")
     if obj.get("format") != GRAPH_FORMAT:
@@ -78,6 +94,17 @@ def graph_from_obj(obj: Any) -> Graph:
     raw_edges = obj.get("edges")
     if not isinstance(raw_edges, list):
         raise CanonicalError("graph edges must be a list of [u, v] pairs")
+    raw_weights = obj.get("weights")
+    columns = None if raw_weights is not None else _int_columns(raw_edges)
+    if columns is not None:
+        us, vs = columns
+        try:
+            graph = Graph.from_columns(n, us, vs)
+        except Exception as error:
+            raise CanonicalError(
+                f"graph object does not describe a graph: {error}"
+            ) from None
+        return graph, obj.keys() == _GRAPH_KEYS and _ascending_edges(n, us, vs)
     edges: list[tuple[int, int]] = []
     for pair in raw_edges:
         if (
@@ -87,7 +114,6 @@ def graph_from_obj(obj: Any) -> Graph:
         ):
             raise CanonicalError(f"malformed edge entry {pair!r}")
         edges.append((pair[0], pair[1]))
-    raw_weights = obj.get("weights")
     weights = None
     if raw_weights is not None:
         if not isinstance(raw_weights, list) or len(raw_weights) != len(edges):
@@ -99,11 +125,47 @@ def graph_from_obj(obj: Any) -> Graph:
                 raise CanonicalError(f"non-numeric edge weight {w!r}")
         weights = dict(zip(edges, raw_weights))
     try:
-        return Graph(n, edges, weights)
+        return Graph(n, edges, weights), False
     except Exception as error:
         raise CanonicalError(
             f"graph object does not describe a graph: {error}"
         ) from None
+
+
+#: The keys of a canonical graph object.
+_GRAPH_KEYS = {"format", "n", "edges", "weights"}
+
+
+def _int_columns(raw_edges: list) -> tuple[Any, Any] | None:
+    """The ``us``/``vs`` int64 columns of a list of ``[u, v]`` pairs of
+    plain ints, or ``None`` — for any other entry, an int outside int64,
+    or without numpy — so the tuple build reports it."""
+    if not set(map(type, raw_edges)) <= {list}:
+        return None
+    if not set(map(len, raw_edges)) <= {2}:
+        return None
+    if not set(map(type, chain.from_iterable(raw_edges))) <= {int}:
+        return None
+    try:
+        import numpy as np
+    except ImportError:
+        return None
+    try:
+        flat = np.fromiter(
+            chain.from_iterable(raw_edges),
+            dtype=np.int64,
+            count=2 * len(raw_edges),
+        )
+    except OverflowError:
+        return None
+    return flat[0::2], flat[1::2]
+
+
+def _ascending_edges(n: int, us: Any, vs: Any) -> bool:
+    """Whether the valid edge columns list each edge as ``u < v`` in
+    strictly increasing order — the order of :meth:`Graph.edges`."""
+    key = us * n + vs
+    return bool((us < vs).all() and (key[1:] > key[:-1]).all())
 
 
 def graph_canonical_bytes(graph: Graph) -> bytes:

@@ -16,7 +16,8 @@ catalog into a long-running verification service:
   parameter validation derived from :class:`~repro.core.catalog.ParamSpec`,
   dispatch through :func:`repro.core.catalog.build`, batched array
   deciders with per-node fallback, a bounded LRU keyed by envelope
-  content so hot configurations certify in O(1), and an optional
+  content so hot configurations re-certify with no decode and no
+  decider work, and an optional
   graph-hash-affine sharded worker pool for cold misses;
 * :mod:`repro.service.httpd` — a stdlib-only threaded HTTP front end
   (``repro serve`` / ``repro submit`` on the CLI) with a bounded

@@ -4,7 +4,7 @@
 (:mod:`repro.service.httpd`): a small, dependency-free HTTP/1.1 client
 that streams many envelopes over **one keep-alive connection** —
 the shape heavy traffic actually takes, where per-request TCP setup
-would dominate the O(1) cached hot path — and that understands the
+would dominate the cached hot path — and that understands the
 server's backpressure contract:
 
 * **409** (replayed nullifier) raises

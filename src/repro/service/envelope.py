@@ -12,8 +12,9 @@ three derived identities, each in its own hash domain:
     same verification of the same configuration share a body hash, which
     is the service's cache key and the seed for deterministic scheme
     builds.  Computed over the *part hashes* (graph, labeling,
-    certificates) rather than the payloads, so a resubmission under a
-    fresh nonce re-hashes O(1) data, not O(n).
+    certificates) rather than the payloads, so an envelope resubmitted
+    in-process under a fresh nonce (:meth:`ProofEnvelope.with_nonce`)
+    re-hashes O(1) data, not O(n).
 
 ``nullifier`` (domain ``PLS_NULLIFIER/v1``)
     Anti-replay identity *including the nonce*: the
@@ -29,23 +30,43 @@ Certificates are optional: an envelope without them asks the service to
 run the scheme's own marker (honest prover) before deciding; an envelope
 with them asks for verification of exactly that assignment — the
 corrupted-labeling and adversarial workflows.
+
+Wire bodies are loaded once into a :class:`WireBody`, which hashes each
+raw part as loaded — a C-level JSON dump plus SHA-256, no decode and no
+per-node Python — into the body hash it would decode to.  A resubmitted
+body is therefore looked up in the verdict cache in O(body bytes)
+without being decoded; O(1) over the wire needs parts sent by
+reference.  Only a body that has to be decided is decoded, from the
+already loaded object, and a raw part hash doubles as the decoded one
+wherever the part is provably in canonical form.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import islice
 from typing import Any, Mapping
 
 from repro.core.labeling import Labeling
 from repro.errors import CanonicalError, EnvelopeError, ReplayError
 from repro.graphs.graph import Graph
-from repro.graphs.serialize import graph_from_obj, graph_hash, graph_to_obj
+from repro.graphs.serialize import (
+    GRAPH_HASH_DOMAIN,
+    graph_canonical_bytes,
+    graph_to_obj,
+    parse_graph_obj,
+)
+from repro.obs import metrics as _metrics
 from repro.util.canonical import (
     canonical_bytes,
+    decode_pairs,
     decode_value,
     domain_hash,
+    encode_pairs,
     encode_value,
 )
 
@@ -55,6 +76,7 @@ __all__ = [
     "NULLIFIER_DOMAIN",
     "NullifierRegistry",
     "ProofEnvelope",
+    "WireBody",
 ]
 
 #: Version tag carried inside every serialized envelope.
@@ -72,22 +94,24 @@ CERTS_HASH_DOMAIN = "PLS_CERTS/v1"
 #: Domain tag for anti-replay nullifiers (body hash + nonce).
 NULLIFIER_DOMAIN = "PLS_NULLIFIER/v1"
 
-
-def _encode_assignment(certificates: Mapping[int, Any]) -> list:
-    """Node-sorted ``[[node, encoded_cert], ...]`` (the labeling shape)."""
-    return [
-        [node, encode_value(cert)]
-        for node, cert in sorted(certificates.items())
-    ]
+#: ``canonical_bytes(envelope.to_obj())`` with each value left out: the
+#: keys in sorted order, as ``canonical_bytes`` writes them.
+_ENVELOPE_TEMPLATE = (
+    b'{"certificates":%s,"format":%s,"graph":%s,"graph_hash":%s,'
+    b'"labeling":%s,"nonce":%s,"params":%s,"scheme":%s}'
+)
 
 
 def _decode_assignment(obj: Any) -> dict[int, Any]:
+    certificates = decode_pairs(obj)
+    if certificates is not None:
+        return certificates
     if not isinstance(obj, list):
         raise EnvelopeError(
             f"certificates must be a list of [node, value] pairs, "
             f"got {type(obj).__name__}"
         )
-    certificates: dict[int, Any] = {}
+    certificates = {}
     for pair in obj:
         if (
             not isinstance(pair, (list, tuple))
@@ -100,6 +124,37 @@ def _decode_assignment(obj: Any) -> dict[int, Any]:
             raise EnvelopeError(f"duplicate certificate for node {pair[0]}")
         certificates[pair[0]] = decode_value(pair[1])
     return certificates
+
+
+def _ascending_nodes(pairs: list) -> bool:
+    """Whether well-formed ``[node, value]`` pairs list strictly
+    ascending nodes (the order ``to_obj`` writes them in)."""
+    nodes = [pair[0] for pair in pairs]
+    return all(map(operator.lt, nodes, islice(nodes, 1, None)))
+
+
+def _body_hash(
+    version: str,
+    scheme: str,
+    params: Any,
+    graph_hash: str,
+    labeling_hash: str,
+    certificates_hash: str,
+) -> str:
+    """The envelope body hash over encoded ``params`` and part hashes."""
+    body = {
+        "format": version,
+        "scheme": scheme,
+        "params": params,
+        "graph_hash": graph_hash,
+        "labeling_hash": labeling_hash,
+        "certificates_hash": certificates_hash,
+    }
+    return domain_hash(ENVELOPE_HASH_DOMAIN, canonical_bytes(body))
+
+
+def _nullifier(body_hash: str, nonce: str) -> str:
+    return domain_hash(NULLIFIER_DOMAIN, f"{body_hash}:{nonce}".encode("utf-8"))
 
 
 def _declared_node_count(obj: Any) -> int | None:
@@ -127,8 +182,8 @@ class ProofEnvelope:
     nonce: str = ""
     version: str = ENVELOPE_FORMAT
     #: Memoised part hashes (graph/labeling/certs/body), shared across
-    #: :meth:`with_nonce` copies so a fresh-nonce resubmission re-hashes
-    #: O(1) data.  Not part of equality.
+    #: :meth:`with_nonce` copies so an in-process fresh-nonce
+    #: resubmission re-hashes O(1) data.  Not part of equality.
     _hashes: dict[str, str] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -148,31 +203,27 @@ class ProofEnvelope:
         return self._graph_hash()
 
     def _graph_hash(self) -> str:
-        cached = self._hashes.get("graph")
-        if cached is None:
-            cached = graph_hash(self.graph)
-            self._hashes["graph"] = cached
-        return cached
+        return self._part(
+            "graph", GRAPH_HASH_DOMAIN, lambda: graph_canonical_bytes(self.graph)
+        )
+
+    def _labeling_bytes(self) -> bytes:
+        return canonical_bytes(self.labeling.to_obj())
+
+    def _certificates_bytes(self) -> bytes:
+        return canonical_bytes(encode_pairs(self.certificates))
 
     @property
     def labeling_hash(self) -> str:
         """Domain-separated content hash of the labeling payload."""
-        return self._part(
-            "labeling",
-            LABELING_HASH_DOMAIN,
-            lambda: canonical_bytes(self.labeling.to_obj()),
-        )
+        return self._part("labeling", LABELING_HASH_DOMAIN, self._labeling_bytes)
 
     @property
     def certificates_hash(self) -> str:
         """Content hash of the certificate assignment (``-`` when absent)."""
         if self.certificates is None:
             return "-"
-        return self._part(
-            "certs",
-            CERTS_HASH_DOMAIN,
-            lambda: canonical_bytes(_encode_assignment(self.certificates)),
-        )
+        return self._part("certs", CERTS_HASH_DOMAIN, self._certificates_bytes)
 
     @property
     def body_hash(self) -> str:
@@ -184,23 +235,21 @@ class ProofEnvelope:
         """
         cached = self._hashes.get("body")
         if cached is None:
-            body = {
-                "format": self.version,
-                "scheme": self.scheme,
-                "params": encode_value(dict(self.params)),
-                "graph_hash": self._graph_hash(),
-                "labeling_hash": self.labeling_hash,
-                "certificates_hash": self.certificates_hash,
-            }
-            cached = domain_hash(ENVELOPE_HASH_DOMAIN, canonical_bytes(body))
+            cached = _body_hash(
+                self.version,
+                self.scheme,
+                encode_value(dict(self.params)),
+                self._graph_hash(),
+                self.labeling_hash,
+                self.certificates_hash,
+            )
             self._hashes["body"] = cached
         return cached
 
     @property
     def nullifier(self) -> str:
         """Anti-replay identity: body hash bound to this nonce."""
-        payload = f"{self.body_hash}:{self.nonce}".encode("utf-8")
-        return domain_hash(NULLIFIER_DOMAIN, payload)
+        return _nullifier(self.body_hash, self.nonce)
 
     # -- derived envelopes ---------------------------------------------------
 
@@ -222,14 +271,39 @@ class ProofEnvelope:
             "certificates": (
                 None
                 if self.certificates is None
-                else _encode_assignment(self.certificates)
+                else encode_pairs(self.certificates)
             ),
             "nonce": self.nonce,
         }
 
     def to_bytes(self) -> bytes:
-        """Canonical byte form (round-trips through :meth:`from_bytes`)."""
-        return canonical_bytes(self.to_obj())
+        """Canonical byte form (round-trips through :meth:`from_bytes`).
+
+        Equal to ``canonical_bytes(self.to_obj())``, but joined from the
+        parts' canonical bytes, which also give the part hashes: each
+        part is encoded once.
+        """
+        parts = [
+            ("graph", GRAPH_HASH_DOMAIN, graph_canonical_bytes(self.graph)),
+            ("labeling", LABELING_HASH_DOMAIN, self._labeling_bytes()),
+        ]
+        certificates = b"null"
+        if self.certificates is not None:
+            certificates = self._certificates_bytes()
+            parts.append(("certs", CERTS_HASH_DOMAIN, certificates))
+        for key, domain, payload in parts:
+            if key not in self._hashes:
+                self._hashes[key] = domain_hash(domain, payload)
+        return _ENVELOPE_TEMPLATE % (
+            certificates,
+            canonical_bytes(self.version),
+            parts[0][2],
+            canonical_bytes(self._hashes["graph"]),
+            parts[1][2],
+            canonical_bytes(self.nonce),
+            canonical_bytes(encode_value(dict(self.params))),
+            canonical_bytes(self.scheme),
+        )
 
     @classmethod
     def from_obj(
@@ -252,6 +326,114 @@ class ProofEnvelope:
         and re-hash are skipped — the warm path of the service's
         graph-affine workers.
         """
+        return WireBody(obj).decode(graph_cache)
+
+    @classmethod
+    def from_bytes(
+        cls,
+        payload: bytes | str,
+        graph_cache: Mapping[str, Graph] | None = None,
+    ) -> "ProofEnvelope":
+        """Parse an envelope from its canonical JSON byte form."""
+        return WireBody.load(payload).decode(graph_cache)
+
+    def __repr__(self) -> str:
+        certs = "honest" if self.certificates is None else "supplied"
+        return (
+            f"ProofEnvelope({self.scheme}, n={self.graph.n}, "
+            f"certificates={certs}, nonce={self.nonce[:8]!r})"
+        )
+
+
+class WireBody:
+    """A loaded wire object and the content hashes of its raw parts.
+
+    Each part hash is the part's domain hash over ``canonical_bytes`` of
+    the part *as loaded*, so computing :attr:`body_hash` decodes
+    nothing.  Cache keys are only ever decoded envelopes' body hashes,
+    so a raw body hash equal to one means every raw part has the
+    canonical bytes of a part the service already validated: the body
+    decodes to that envelope.  A non-canonical body (unsorted pairs,
+    reversed edges, extra graph keys, reordered set elements) hashes
+    differently, misses the cache, and is decoded and hashed as before.
+    """
+
+    #: (wire key, hash domain) of each part.
+    _PARTS = {
+        "graph": ("graph", GRAPH_HASH_DOMAIN),
+        "labeling": ("labeling", LABELING_HASH_DOMAIN),
+        "certs": ("certificates", CERTS_HASH_DOMAIN),
+    }
+
+    def __init__(self, obj: Any) -> None:
+        self.obj = obj
+        #: part -> (raw part hash or ``None`` when the part has no
+        #: canonical bytes, whether those bytes hold no JSON object).
+        self._parts: dict[str, tuple[str | None, bool]] = {}
+
+    @classmethod
+    def load(cls, payload: bytes | str) -> "WireBody":
+        """Load JSON wire bytes (refused as an :class:`EnvelopeError`)."""
+        try:
+            return cls(json.loads(payload))
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+            raise EnvelopeError(f"envelope is not valid JSON: {error}") from None
+        except RecursionError:
+            raise EnvelopeError("envelope JSON is nested too deeply") from None
+
+    def _part(self, part: str) -> tuple[str | None, bool]:
+        cached = self._parts.get(part)
+        if cached is None:
+            key, domain = self._PARTS[part]
+            raw = self.obj.get(key)
+            if part == "certs" and raw is None:
+                cached = ("-", False)
+            else:
+                try:
+                    payload = canonical_bytes(raw)
+                except (CanonicalError, RecursionError):
+                    cached = (None, False)
+                else:
+                    cached = (domain_hash(domain, payload), b"{" not in payload)
+            self._parts[part] = cached
+        return cached
+
+    def part_hash(self, part: str) -> str | None:
+        """The raw ``graph``/``labeling``/``certs`` part's hash."""
+        return self._part(part)[0]
+
+    @cached_property
+    def body_hash(self) -> str | None:
+        """The body hash computed from the raw parts, or ``None`` for an
+        object whose envelope fields the full parse would refuse."""
+        obj = self.obj
+        if not isinstance(obj, dict) or obj.get("format") != ENVELOPE_FORMAT:
+            return None
+        scheme = obj.get("scheme")
+        if not isinstance(scheme, str) or not scheme:
+            return None
+        if not isinstance(obj.get("nonce", ""), str):
+            return None
+        hashes = [self.part_hash(part) for part in self._PARTS]
+        if None in hashes or obj.get("graph_hash") != hashes[0]:
+            return None
+        try:
+            return _body_hash(ENVELOPE_FORMAT, scheme, obj.get("params"), *hashes)
+        except (CanonicalError, RecursionError):
+            return None
+
+    @property
+    def nullifier(self) -> str | None:
+        body_hash = self.body_hash
+        if body_hash is None:
+            return None
+        return _nullifier(body_hash, self.obj.get("nonce", ""))
+
+    def decode(self, graph_cache: Mapping[str, Graph] | None = None) -> ProofEnvelope:
+        """The validated :class:`ProofEnvelope` (see
+        :meth:`ProofEnvelope.from_obj`)."""
+        _metrics.inc("service.envelope.decoded")
+        obj = self.obj
         if not isinstance(obj, dict):
             raise EnvelopeError(
                 f"envelope must be an object, got {type(obj).__name__}"
@@ -271,6 +453,7 @@ class ProofEnvelope:
         cached_graph = None
         if graph_cache is not None and isinstance(declared, str):
             cached_graph = graph_cache.get(declared)
+        canonical_graph = False
         try:
             params = decode_value(obj.get("params"))
             # The labeling first: a graph is only built once the
@@ -287,11 +470,10 @@ class ProofEnvelope:
                     "labeling does not fit the graph: "
                     "labeling does not cover the graph's nodes"
                 )
-            graph = (
-                cached_graph
-                if cached_graph is not None
-                else graph_from_obj(obj.get("graph"))
-            )
+            if cached_graph is not None:
+                graph = cached_graph
+            else:
+                graph, canonical_graph = parse_graph_obj(obj.get("graph"))
         except CanonicalError as error:
             raise EnvelopeError(str(error)) from None
         if not isinstance(params, dict) or not all(
@@ -304,7 +486,7 @@ class ProofEnvelope:
                 certificates = _decode_assignment(obj["certificates"])
             except CanonicalError as error:
                 raise EnvelopeError(str(error)) from None
-        envelope = cls(
+        envelope = ProofEnvelope(
             scheme=scheme,
             params=params,
             graph=graph,
@@ -312,36 +494,29 @@ class ProofEnvelope:
             certificates=certificates,
             nonce=nonce,
         )
+        hashes = envelope._hashes
         if cached_graph is not None:
             # The cache key *is* the verified hash of this graph.
-            envelope._hashes["graph"] = declared
-        elif declared is not None and declared != envelope._graph_hash():
-            raise EnvelopeError(
-                "graph payload does not match its content-hash binding"
-            )
+            hashes["graph"] = declared
+        else:
+            if canonical_graph:
+                hashes["graph"] = self.part_hash("graph")
+            if declared is not None and declared != envelope._graph_hash():
+                raise EnvelopeError(
+                    "graph payload does not match its content-hash binding"
+                )
+        # A part with strictly ascending nodes and no JSON object holds
+        # no tagged wrapper, so decoding and re-encoding it gives back
+        # the same value: its raw hash is its decoded hash.
+        for part, raw in (
+            ("labeling", obj["labeling"]),
+            ("certs", obj.get("certificates")),
+        ):
+            if raw is not None and _ascending_nodes(raw):
+                raw_hash, plain = self._part(part)
+                if plain and raw_hash is not None:
+                    hashes[part] = raw_hash
         return envelope
-
-    @classmethod
-    def from_bytes(
-        cls,
-        payload: bytes | str,
-        graph_cache: Mapping[str, Graph] | None = None,
-    ) -> "ProofEnvelope":
-        """Parse an envelope from its canonical JSON byte form."""
-        try:
-            obj = json.loads(payload)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise EnvelopeError(f"envelope is not valid JSON: {error}") from None
-        except RecursionError:
-            raise EnvelopeError("envelope JSON is nested too deeply") from None
-        return cls.from_obj(obj, graph_cache=graph_cache)
-
-    def __repr__(self) -> str:
-        certs = "honest" if self.certificates is None else "supplied"
-        return (
-            f"ProofEnvelope({self.scheme}, n={self.graph.n}, "
-            f"certificates={certs}, nonce={self.nonce[:8]!r})"
-        )
 
 
 class NullifierRegistry:

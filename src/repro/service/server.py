@@ -17,8 +17,12 @@ returns a structured :class:`CertificationResult`:
 3. **Cache** — results live in a bounded LRU keyed by the envelope's
    ``body_hash`` (scheme + params + graph hash + labeling hash +
    certificates hash), so a hot configuration resubmitted under a fresh
-   nonce is served in O(1) with zero decider work (``service.cache.hit``
-   vs ``service.cache.miss``).
+   nonce is served with zero decider work (``service.cache.hit`` vs
+   ``service.cache.miss``): O(1) for an in-process
+   :meth:`~repro.service.envelope.ProofEnvelope.with_nonce` copy, and
+   O(body bytes) of C-level JSON load and dump plus SHA-256 for wire
+   bytes, which are hashed from the loaded JSON and not decoded (see
+   :class:`~repro.service.envelope.WireBody`).
 4. **Decide** — cold misses build the scheme through
    :func:`repro.core.catalog.build` (rng seeded deterministically from
    the body hash, so served verdicts are reproducible bit-for-bit),
@@ -30,10 +34,11 @@ returns a structured :class:`CertificationResult`:
    the result.
 
 With ``workers > 0`` cold misses run on a **sharded process pool**: one
-single-process executor per shard, envelopes routed by graph hash, so
-each worker's module-level graph cache (and the CSR mirror cached on
-the :class:`~repro.graphs.graph.Graph` it holds) stays warm for the
-graphs it owns.  ``service.queue.enqueued`` / ``service.queue.completed``
+single-process executor per shard, envelopes routed by graph hash and
+sent as the bytes they arrived in, so each worker's module-level graph
+cache (and the CSR mirror cached on the
+:class:`~repro.graphs.graph.Graph` it holds) stays warm for the graphs
+it owns.  ``service.queue.enqueued`` / ``service.queue.completed``
 counters make queue depth readable as a ledger delta.
 
 Threading contract: :meth:`~CertificationService.submit` (and the
@@ -78,7 +83,7 @@ from repro.errors import (
 )
 from repro.graphs.graph import Graph
 from repro.obs import metrics as _metrics
-from repro.service.envelope import NullifierRegistry, ProofEnvelope
+from repro.service.envelope import NullifierRegistry, ProofEnvelope, WireBody
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -256,9 +261,13 @@ class _ShardPool:
     def shard_of(self, envelope: ProofEnvelope) -> int:
         return int(envelope.graph_hash[:8], 16) % len(self._shards)
 
-    def submit(self, envelope: ProofEnvelope):
+    def submit(self, envelope: ProofEnvelope, payload: bytes | None = None):
+        """Decide ``envelope`` on its shard, sent as ``payload`` — the
+        bytes it arrived as — or else re-encoded."""
         executor = self._shards[self.shard_of(envelope)]
-        return executor.submit(_worker_certify, envelope.to_bytes())
+        if payload is None:
+            payload = envelope.to_bytes()
+        return executor.submit(_worker_certify, payload)
 
     def shutdown(self) -> None:
         for executor in self._shards:
@@ -268,6 +277,25 @@ class _ShardPool:
 # ---------------------------------------------------------------------------
 # The service.
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Admitted:
+    """One submission, hashed: decoded unless its wire body hash named a
+    cached verdict when it arrived."""
+
+    body_hash: str
+    nullifier: str
+    envelope: ProofEnvelope | None = None
+    wire: WireBody | None = None
+    #: The bytes the body arrived as, forwarded to a pool worker.
+    payload: bytes | None = None
+
+    def decoded(self) -> ProofEnvelope:
+        if self.envelope is None:
+            self.envelope = self.wire.decode()
+            self.wire = None  # the loaded object is not needed any more
+        return self.envelope
 
 
 class CertificationService:
@@ -355,12 +383,27 @@ class CertificationService:
 
     # -- submission ----------------------------------------------------------
 
-    def _parse(self, envelope: Any) -> ProofEnvelope:
-        if isinstance(envelope, ProofEnvelope):
+    def _admit(self, envelope: Any) -> _Admitted:
+        """Hash a submission; decode a wire body only if its raw body
+        hash does not name a cached verdict (see
+        :class:`~repro.service.envelope.WireBody`)."""
+        if isinstance(envelope, _Admitted):
             return envelope
+        if isinstance(envelope, ProofEnvelope):
+            return _Admitted(envelope.body_hash, envelope.nullifier, envelope)
+        payload = None
         if isinstance(envelope, (bytes, str)):
-            return ProofEnvelope.from_bytes(envelope)
-        return ProofEnvelope.from_obj(envelope)
+            wire = WireBody.load(envelope)
+            payload = (
+                envelope.encode("utf-8") if isinstance(envelope, str) else envelope
+            )
+        else:
+            wire = WireBody(envelope)
+        body_hash = wire.body_hash
+        if body_hash is not None and self.cached(body_hash):
+            return _Admitted(body_hash, wire.nullifier, wire=wire, payload=payload)
+        parsed = wire.decode()
+        return _Admitted(parsed.body_hash, parsed.nullifier, parsed, payload=payload)
 
     def submit(
         self,
@@ -369,8 +412,10 @@ class CertificationService:
     ) -> CertificationResult:
         """Certify one envelope (wire bytes, wire object, or instance).
 
-        Raises :class:`~repro.errors.ReplayError` on a spent nullifier
-        and :class:`~repro.errors.ServiceError` (or its
+        Wire input is loaded once; a body whose raw hash names a cached
+        verdict is answered, after its nullifier is spent, without
+        being decoded.  Raises :class:`~repro.errors.ReplayError` on a
+        spent nullifier and :class:`~repro.errors.ServiceError` (or its
         :class:`~repro.errors.EnvelopeError` subclass) on invalid
         submissions; every other path returns a
         :class:`CertificationResult`.
@@ -381,9 +426,9 @@ class CertificationService:
         with self._lock:
             self.stats["submitted"] += 1
         with _stage(timings, "parse"):
-            parsed = self._parse(envelope)
-            body_hash = parsed.body_hash
-            nullifier = parsed.nullifier
+            admitted = self._admit(envelope)
+            body_hash = admitted.body_hash
+            nullifier = admitted.nullifier
         try:
             self.nullifiers.spend(nullifier)
         except Exception:
@@ -404,6 +449,7 @@ class CertificationService:
         _metrics.inc("service.cache.miss")
         with self._lock:
             self.stats["cache_misses"] += 1
+        parsed = admitted.decoded()
         future = None
         if _prelaunched is not None:
             future = _prelaunched.pop(body_hash, None)
@@ -411,7 +457,7 @@ class CertificationService:
             _metrics.inc("service.queue.enqueued")
             with self._lock:
                 self.stats["enqueued"] += 1
-            future = self._pool.submit(parsed)
+            future = self._pool.submit(parsed, admitted.payload)
         if future is not None:
             raw = self._collect(future)
         else:
@@ -444,13 +490,10 @@ class CertificationService:
         """
         if self._pool is None:
             return [self.submit(envelope) for envelope in envelopes]
-        parsed = [self._parse(envelope) for envelope in envelopes]
-        prelaunched = self._prelaunch(parsed)
+        admitted = [self._admit(envelope) for envelope in envelopes]
+        prelaunched = self._prelaunch(admitted)
         try:
-            return [
-                self.submit(envelope, _prelaunched=prelaunched)
-                for envelope in parsed
-            ]
+            return [self.submit(item, _prelaunched=prelaunched) for item in admitted]
         finally:
             self._drain(prelaunched)
 
@@ -476,18 +519,18 @@ class CertificationService:
         With a worker pool, distinct cold bodies prelaunch concurrently
         just like :meth:`submit_many`.
         """
-        parsed: list[Any] = []
+        admitted: list[Any] = []
         for envelope in envelopes:
             try:
-                parsed.append(self._parse(envelope))
+                admitted.append(self._admit(envelope))
             except ServiceError as error:
-                parsed.append(error)
+                admitted.append(error)
         prelaunched = self._prelaunch(
-            [item for item in parsed if isinstance(item, ProofEnvelope)]
+            [item for item in admitted if isinstance(item, _Admitted)]
         )
         outcomes: list[tuple[str, Any]] = []
         try:
-            for item in parsed:
+            for item in admitted:
                 if isinstance(item, ServiceError):
                     outcomes.append(("invalid", str(item)))
                     continue
@@ -503,23 +546,23 @@ class CertificationService:
             self._drain(prelaunched)
         return outcomes
 
-    def _prelaunch(self, parsed: list[ProofEnvelope]) -> dict[str, Any]:
+    def _prelaunch(self, admitted: list[_Admitted]) -> dict[str, Any]:
         """Launch distinct, uncached, unspent cold bodies on the pool."""
         prelaunched: dict[str, Any] = {}
         if self._pool is None:
             return prelaunched
-        for envelope in parsed:
-            body_hash = envelope.body_hash
+        for item in admitted:
+            body_hash = item.body_hash
             if (
                 body_hash in prelaunched
                 or self.cached(body_hash)
-                or self.nullifiers.seen(envelope.nullifier)
+                or self.nullifiers.seen(item.nullifier)
             ):
                 continue
             _metrics.inc("service.queue.enqueued")
             with self._lock:
                 self.stats["enqueued"] += 1
-            prelaunched[body_hash] = self._pool.submit(envelope)
+            prelaunched[body_hash] = self._pool.submit(item.decoded(), item.payload)
         return prelaunched
 
     def _drain(self, prelaunched: dict[str, Any]) -> None:

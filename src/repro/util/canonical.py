@@ -39,20 +39,36 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable, Mapping
 
 from repro.errors import CanonicalError
 
 __all__ = [
     "canonical_bytes",
+    "decode_pairs",
     "decode_value",
     "domain_hash",
+    "encode_pairs",
     "encode_value",
 ]
 
 #: Wrapper key marking an encoded container; plain JSON objects appear
 #: only as ``{"__pls__": tag, "v": payload}`` wrappers in the encoding.
 _TAG_KEY = "__pls__"
+
+#: Types :func:`encode_value` returns unchanged; a tuple holding only
+#: these encodes to a plain list of its items.
+_PASSTHROUGH = frozenset((int, bool, str, type(None)))
+
+#: Types :func:`decode_value` returns unchanged; a list holding only
+#: these decodes to a tuple of its items.
+_DECODED_SCALARS = _PASSTHROUGH | {float}
+
+
+def _only(items: Iterable, types: frozenset | set) -> bool:
+    """Whether the exact type of every item is in ``types``."""
+    return set(map(type, items)) <= types
 
 
 def encode_value(value: Any) -> Any:
@@ -68,6 +84,8 @@ def encode_value(value: Any) -> Any:
             )
         return value
     if isinstance(value, tuple):
+        if _only(value, _PASSTHROUGH):
+            return list(value)
         return [encode_value(item) for item in value]
     if isinstance(value, list):
         return {_TAG_KEY: "list", "v": [encode_value(item) for item in value]}
@@ -101,6 +119,8 @@ def decode_value(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, list):
+        if _only(obj, _DECODED_SCALARS):
+            return tuple(obj)
         return tuple(decode_value(item) for item in obj)
     if isinstance(obj, dict):
         tag = obj.get(_TAG_KEY)
@@ -129,6 +149,50 @@ def decode_value(obj: Any) -> Any:
     raise CanonicalError(
         f"object of type {type(obj).__name__} is not a canonical encoding"
     )
+
+
+def encode_pairs(mapping: Mapping[int, Any]) -> list:
+    """Node-sorted ``[[node, encode_value(value)], ...]`` of a node-keyed
+    mapping — the labeling and certificate-assignment shape.
+
+    A column of plain scalars, or of tuples of them, is encoded in bulk.
+    """
+    nodes = sorted(mapping)
+    values = list(map(mapping.__getitem__, nodes))
+    types = set(map(type, values))
+    if types == {tuple} and _only(chain.from_iterable(values), _PASSTHROUGH):
+        values = list(map(list, values))
+    elif not types <= _PASSTHROUGH:
+        values = list(map(encode_value, values))
+    return list(map(list, zip(nodes, values)))
+
+
+def decode_pairs(obj: Any) -> dict[int, Any] | None:
+    """Inverse of :func:`encode_pairs` for well-formed input: the
+    ``{node: value}`` dict of a list of ``[int, encoding]`` pairs with
+    distinct nodes, or ``None`` for anything else, which the caller's
+    entry-by-entry parse then reports.
+
+    A column of plain scalars, or of lists of them, is decoded in bulk.
+    """
+    if type(obj) is not list or not _only(obj, {list}):
+        return None
+    if not set(map(len, obj)) <= {2}:
+        return None
+    nodes = [pair[0] for pair in obj]
+    values = [pair[1] for pair in obj]
+    if not _only(nodes, {int}):
+        return None
+    types = set(map(type, values))
+    if types == {list} and _only(chain.from_iterable(values), _DECODED_SCALARS):
+        values = list(map(tuple, values))
+    elif not types <= _DECODED_SCALARS:
+        try:
+            values = list(map(decode_value, values))
+        except CanonicalError:
+            return None
+    decoded = dict(zip(nodes, values))
+    return decoded if len(decoded) == len(obj) else None
 
 
 def canonical_bytes(obj: Any) -> bytes:

@@ -84,6 +84,15 @@ class TestCertify:
         )
         assert status == 200 and body["cache_hit"] and body["accepted"]
 
+        # Replaying the hit is refused too: a cached body's nullifier is
+        # spent before the verdict is returned.
+        status, body = _post(
+            server_url + "/certify", envelope.with_nonce("f").to_bytes()
+        )
+        assert status == 409 and body["replay"]
+        status, body = _get(server_url + "/metrics")
+        assert body["stats"]["replays_rejected"] == 2
+
     def test_corrupted_rejected_with_sample(self, server_url):
         envelope = build_envelope("spanning-tree-ptr", n=24, seed=12, corrupt=3)
         status, body = _post(server_url + "/certify", envelope.to_bytes())

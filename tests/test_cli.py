@@ -63,6 +63,24 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "all accept = True" in out
 
+    def test_certify_sizes_each_certificate_once(self, capsys, monkeypatch):
+        """The proof-size line reads both ``max_bits`` and ``total_bits``;
+        they share one sizing pass over the assignment."""
+        from repro.core.scheme import ProofLabelingScheme
+
+        sized = []
+        original = ProofLabelingScheme.certificate_bits
+
+        def counting(self, certificate):
+            sized.append(certificate)
+            return original(self, certificate)
+
+        monkeypatch.setattr(ProofLabelingScheme, "certificate_bits", counting)
+        n = 24
+        assert main(["certify", "spanning-tree-ptr", "--n", str(n)]) == 0
+        assert "proof size" in capsys.readouterr().out
+        assert len(sized) == n
+
     def test_certify_weighted_scheme(self, capsys):
         assert main(["certify", "mst", "--n", "10", "--seed", "1"]) == 0
         assert "proof size" in capsys.readouterr().out
