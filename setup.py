@@ -4,11 +4,10 @@ The offline environment lacks the ``wheel`` package, so PEP 660 editable
 installs (``pip install -e .``) cannot build; ``python setup.py develop``
 installs the same editable package through the legacy path.
 
-The one runtime dependency is numpy, for the array-native verification
-core (``repro.core.batch``, ``repro.graphs.csr``).  The library still
-*imports* without it — verification then stays on the pure-python
-per-node path and every scheme reports ``batch=no`` — but installs
-declare it so the fast path works out of the box.
+The one runtime dependency is numpy: every graph is stored as its CSR
+columns (``repro.graphs.csr``), and the array-native verification core
+(``repro.core.batch``) runs on them.  The library does not import
+without it.
 """
 
 from setuptools import find_packages, setup

@@ -38,8 +38,7 @@ Kernels register per concrete class by exact ``(module, qualname)``
 match — deciders in :mod:`repro.core.batch_deciders`, marker
 (``canonical_labeling``) and prover (``prove``) kernels in
 :mod:`repro.core.batch_markers` — and those modules are imported on
-first dispatch, keeping ``repro.core`` import-cycle-free.  Without
-numpy no kernel is found and everything stays on the dict path.  A
+first dispatch, keeping ``repro.core`` import-cycle-free.  A
 marker kernel must reproduce the canonical labeling, the rng stream
 position and any exception bit for bit, and may raise
 :class:`BatchFallback` only *before* consuming ``rng``; a prover kernel
@@ -52,10 +51,7 @@ from __future__ import annotations
 import importlib
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.obs import metrics as _metrics
 
@@ -406,8 +402,6 @@ def _register(table: dict, class_paths: tuple[tuple[str, str], ...]):
 def _kernel(table: dict, module: str, obj: Any) -> Callable[..., Any] | None:
     """``obj``'s exact class's kernel in ``table``, importing ``module``
     (whose import fills the table) on first use."""
-    if np is None:
-        return None
     if module not in _loaded:
         _loaded.add(module)
         try:
@@ -494,7 +488,7 @@ def resolve_backend(backend: str, scheme: "ProofLabelingScheme") -> str | None:
     when the name is unknown.
 
     ``"auto"`` picks ``"array"`` exactly when ``scheme`` has a batched
-    decider (which needs numpy).
+    decider.
     """
     if backend == "auto":
         return "array" if supports_batch(scheme) else "views"

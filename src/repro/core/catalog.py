@@ -134,13 +134,6 @@ def _default_sampler(n: int, rng: random.Random) -> Graph:
     return connected_gnp(n, min(0.6, 3.0 / max(3, n)), rng)
 
 
-def _have_numpy() -> bool:
-    """Whether array kernels can run; a declared kernel needs numpy too."""
-    from repro.core.batch import np
-
-    return np is not None
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
     """Catalog entry: metadata plus the fitted-scheme builder.
@@ -198,7 +191,7 @@ class SchemeSpec:
         cached = getattr(self, "_batch_cache", None)
         if cached is None:
             if self.batch_declared is not None:
-                cached = self.batch_declared and _have_numpy()
+                cached = self.batch_declared
             elif self.graph_fitted:
                 cached = False
             else:
@@ -217,7 +210,7 @@ class SchemeSpec:
         cached = getattr(self, "_generate_cache", None)
         if cached is None:
             if self.generate_declared is not None:
-                cached = self.generate_declared and _have_numpy()
+                cached = self.generate_declared
             elif self.graph_fitted:
                 cached = False
             else:

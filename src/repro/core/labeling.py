@@ -162,30 +162,9 @@ class Labeling(Mapping[int, Any]):
     @classmethod
     def from_obj(cls, obj: Any) -> "Labeling":
         """Rebuild a labeling from :meth:`to_obj` output (exact round trip)."""
-        from repro.errors import CanonicalError
-        from repro.util.canonical import decode_pairs, decode_value
+        from repro.util.canonical import decode_pairs
 
-        states = decode_pairs(obj)
-        if states is not None:
-            return cls(states)
-        if not isinstance(obj, (list, tuple)):
-            raise CanonicalError(
-                f"labeling object must be a list, got {type(obj).__name__}"
-            )
-        states = {}
-        for pair in obj:
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or not isinstance(pair[0], int)
-                or isinstance(pair[0], bool)
-            ):
-                raise CanonicalError(f"malformed labeling entry {pair!r}")
-            node = pair[0]
-            if node in states:
-                raise CanonicalError(f"duplicate labeling entry for node {node}")
-            states[node] = decode_value(pair[1])
-        return cls(states)
+        return cls(decode_pairs(obj))
 
     # -- metrics --------------------------------------------------------------
 

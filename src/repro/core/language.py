@@ -111,8 +111,8 @@ class DistributedLanguage(ABC):
         ``backend`` picks the marker implementation: ``"auto"`` (the
         default) takes the vectorized kernel from
         :mod:`repro.core.batch` when one is registered for this language
-        type and numpy is importable, falling back to the per-node dict
-        canonical otherwise; ``"array"`` requires the kernel (raises
+        type, falling back to the per-node dict canonical otherwise;
+        ``"array"`` requires the kernel (raises
         :class:`~repro.errors.LanguageError` when there is none);
         ``"views"`` forces the dict path, which is the semantic oracle
         the kernels are pinned against.  All three return the same

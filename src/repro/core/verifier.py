@@ -29,6 +29,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
+import numpy as np
+
 from repro.core.labeling import Configuration
 from repro.errors import SchemeError
 from repro.graphs.graph import Graph
@@ -152,8 +154,6 @@ class Verdict:
     @classmethod
     def from_mask(cls, mask: Any) -> "Verdict":
         """The array verdict of a bool mask (``mask[v]`` iff ``v`` accepts)."""
-        import numpy as np
-
         verdict = cls.__new__(cls)
         object.__setattr__(verdict, "backend", "array")
         object.__setattr__(verdict, "_mask", mask)

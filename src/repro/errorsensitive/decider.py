@@ -58,8 +58,7 @@ class RejectionCounter:
     (default) is the incremental dict path above; ``"array"`` builds no
     views and lets each count run the scheme's vectorized batched
     decider over the CSR mirror (verdict-identical by contract);
-    ``"auto"`` selects ``"array"`` exactly when the scheme supports it
-    and numpy is importable.
+    ``"auto"`` selects ``"array"`` exactly when the scheme supports it.
     """
 
     def __init__(

@@ -1,10 +1,9 @@
 """Graph substrate: graph type, generators, traversal, subgraph encodings,
 and reference MST algorithms.
 
-The array side of the substrate — ``Graph.csr()``'s :class:`CSRGraph`
-mirror and the frontier-BFS kernels of
-:mod:`repro.graphs.traversal_arrays` — needs numpy, so those names load
-lazily: importing :mod:`repro.graphs` alone never imports numpy.
+Every :class:`Graph` is stored as its CSR columns (``Graph.csr()``, see
+:mod:`repro.graphs.csr`), which the array traversals of
+:mod:`repro.graphs.traversal_arrays` walk.
 """
 
 from repro.graphs.graph import Edge, Graph, edge_key
@@ -38,6 +37,11 @@ from repro.graphs.traversal import (
     is_connected,
     is_spanning_tree_edges,
 )
+from repro.graphs.traversal_arrays import (
+    bfs_arrays,
+    bfs_arrays_indexed,
+    pointer_depths,
+)
 from repro.graphs.weighted import distinct_random_weights, weighted_copy
 
 __all__ = [
@@ -45,6 +49,8 @@ __all__ = [
     "Graph",
     "edge_key",
     "bfs",
+    "bfs_arrays",
+    "bfs_arrays_indexed",
     "binary_tree",
     "boruvka_trace",
     "caterpillar",
@@ -67,24 +73,11 @@ __all__ = [
     "kruskal",
     "lollipop",
     "path_graph",
+    "pointer_depths",
     "prim",
     "random_regular",
     "random_tree",
     "star_graph",
     "torus_graph",
     "weighted_copy",
-    # lazily loaded (numpy): see __getattr__ below
-    "bfs_arrays",
-    "bfs_arrays_indexed",
-    "pointer_depths",
 ]
-
-_ARRAY_TRAVERSAL = ("bfs_arrays", "bfs_arrays_indexed", "pointer_depths")
-
-
-def __getattr__(name: str):
-    if name in _ARRAY_TRAVERSAL:
-        from repro.graphs import traversal_arrays
-
-        return getattr(traversal_arrays, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,7 @@
-"""Compressed sparse row adjacency for the array-native verification core.
+"""Compressed sparse row adjacency: the storage of every graph.
 
-:class:`CSRGraph` is the contiguous mirror of :class:`~repro.graphs
-.graph.Graph`: one ``indptr`` array of length ``n + 1`` and, for each of
+:class:`CSRGraph` is how a :class:`~repro.graphs.graph.Graph` is
+stored: one ``indptr`` array of length ``n + 1`` and, for each of
 the ``2m`` directed half-edges (node ``u`` looking at neighbor ``v``),
 parallel arrays sorted by owner and then by neighbor index — exactly the
 port order of the LOCAL model, so entry ``indptr[u] + p`` *is* port
@@ -35,11 +35,9 @@ per node, so no ``2m`` port column lives as long as the graph.
 with one argsort of the ``owner * n + neighbor`` keys of the ``2m``
 half-edges; ``reverse`` is that sort's inverse permutation read at each
 half-edge's partner.  It also does the edge checks of
-:class:`~repro.graphs.graph.Graph`, with the same messages.
-:meth:`Graph.from_columns` stores its result as the graph's primary
-storage; a tuple-built graph feeds its edges to the same builder
-(:func:`build_csr`) on the first :meth:`Graph.csr` and keeps the
-result — graphs are immutable, so it can never go stale.
+:class:`~repro.graphs.graph.Graph`, which stores its result as the
+graph's only storage: ``Graph(n, edges)`` turns its pairs into the two
+columns with :func:`_pair_columns`, as the wire codec does.
 :func:`csr_from_tree_columns` builds the same columns for a tree given
 as child → parent edges, and keeps that orientation, which lets
 :func:`~repro.graphs.traversal_arrays.bfs_arrays` skip the frontier
@@ -51,18 +49,14 @@ up-entry of the child it points at for ``reverse``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from itertools import chain
 
 import numpy as np
 
 from repro.errors import GraphError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.graphs.graph import Graph
-
-__all__ = ["CSRGraph", "build_csr", "csr_from_columns", "csr_from_tree_columns"]
+__all__ = ["CSRGraph", "csr_from_columns", "csr_from_tree_columns"]
 
 
 @dataclass(frozen=True)
@@ -105,11 +99,11 @@ class CSRGraph:
         return self.reverse[entries] - self.indptr[self.indices[entries]]
 
 
-def csr_from_columns(n: int, us, vs, weights=None) -> CSRGraph:
-    """The CSR of the graph on ``0..n-1`` with edges ``(us[i], vs[i])``.
+def csr_from_columns(n: int, us, vs) -> CSRGraph:
+    """The unweighted CSR of the graph on ``0..n-1`` with edges
+    ``(us[i], vs[i])``.
 
-    ``weights``, if given, is a column parallel to ``us``/``vs``.  An
-    invalid column raises the :class:`GraphError` that
+    An invalid column raises the :class:`GraphError` that
     :class:`~repro.graphs.graph.Graph` raises for the first bad edge in
     the same order (out of range, self-loop, duplicate in either
     orientation, or a negative ``n``).
@@ -129,10 +123,6 @@ def csr_from_columns(n: int, us, vs, weights=None) -> CSRGraph:
     del key
     owners = owners[order]
     indices = indices[order]
-    half_weights = None
-    if weights is not None:
-        column = np.asarray(weights, dtype=np.float64)
-        half_weights = np.concatenate((column, column))[order]
     # The opposite of the half-edge sorted to position p is half-edge
     # order[p] ± m; the inverse permutation says where that one landed.
     total = 2 * m
@@ -148,7 +138,7 @@ def csr_from_columns(n: int, us, vs, weights=None) -> CSRGraph:
         indices=indices,
         owners=owners,
         reverse=reverse,
-        weights=half_weights,
+        weights=None,
     )
 
 
@@ -199,6 +189,51 @@ def csr_from_tree_columns(n: int, children, parents) -> CSRGraph:
         weights=None,
         orientation=orientation,
     )
+
+
+def _pair_columns(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The ``us``/``vs`` int64 columns of ``(u, v)`` pairs.
+
+    A pair is a list or tuple of two ints; numpy integers count as ints,
+    bools do not, and any other entry raises :class:`GraphError` naming
+    it.  An int outside int64 is out of range of every node count: it
+    raises that error of :func:`csr_from_columns`, after the error of
+    any bad edge before it.
+    """
+    if not isinstance(pairs, list):
+        pairs = list(pairs)
+    if not (
+        set(map(type, pairs)) <= {tuple, list}
+        and set(map(len, pairs)) <= {2}
+        and set(map(type, chain.from_iterable(pairs))) <= {int}
+    ):
+        pairs = [_int_pair(pair) for pair in pairs]
+    try:
+        flat = np.fromiter(
+            chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs)
+        )
+    except OverflowError:
+        wide = next(
+            i
+            for i, pair in enumerate(pairs)
+            if not all(-(1 << 63) <= x < 1 << 63 for x in pair)
+        )
+        csr_from_columns(n, *_pair_columns(n, pairs[:wide]))
+        u, v = pairs[wide]
+        raise GraphError(f"edge ({u}, {v}) outside node range [0, {n})") from None
+    return flat[0::2], flat[1::2]
+
+
+def _int_pair(pair) -> tuple[int, int]:
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        u, v = pair
+        if _is_int(u) and _is_int(v):
+            return int(u), int(v)
+    raise GraphError(f"malformed edge entry {pair!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _edge_columns(n: int, us, vs) -> tuple[np.ndarray, np.ndarray]:
@@ -257,17 +292,3 @@ def _raise_first_invalid(n: int, us: np.ndarray, vs: np.ndarray, stop: int):
     if not (0 <= u < n and 0 <= v < n):
         raise GraphError(f"edge ({u}, {v}) outside node range [0, {n})")
     raise GraphError(f"self-loop on node {u}")
-
-
-def build_csr(graph: "Graph") -> CSRGraph:
-    """The CSR of a tuple-built ``graph`` (prefer the cached :meth:`Graph.csr`)."""
-    edges = graph.edges()
-    m = len(edges)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(edges), dtype=np.int64, count=2 * m
-    ).reshape(m, 2)
-    weights = None
-    if graph.is_weighted:
-        table = graph.weights()
-        weights = np.fromiter((table[e] for e in edges), dtype=np.float64, count=m)
-    return csr_from_columns(graph.n, flat[:, 0], flat[:, 1], weights)

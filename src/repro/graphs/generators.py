@@ -19,6 +19,8 @@ import random
 from array import array
 from typing import Callable
 
+import numpy as np
+
 from repro.errors import GraphError
 from repro.graphs.graph import Edge, Graph, edge_key
 from repro.util.rng import make_rng
@@ -137,12 +139,10 @@ def random_tree(n: int, rng: random.Random | None = None) -> Graph:
     if n <= 2:
         return Graph._from_tree_columns(n, range(n - 1), [n - 1] * (n - 1))
     draws = _pruefer_draws(n, rng)
-    if isinstance(draws, list):  # numpy-free, or drawn call by call
+    if isinstance(draws, list):  # drawn call by call
         leaves, heads = _pruefer_leaves_loop(n, draws), array("q", draws)
         heads.append(n - 1)
     else:
-        import numpy as np
-
         leaves, heads = _pruefer_leaves(n, draws), np.append(draws, n - 1)
     # Each leaf's head is its parent toward n-1, removed later or never.
     return Graph._from_tree_columns(n, leaves, heads)
@@ -194,8 +194,6 @@ def _pruefer_leaves(n: int, draws):
     bucket.  Uniform draws leave about one node in a thousand open; a
     sorted sequence leaves nearly all of them, which costs O(k√k).
     """
-    import numpy as np
-
     steps = n - 1
     release = np.zeros(n, dtype=np.int64)
     np.maximum.at(release, draws, np.arange(1, steps, dtype=np.int64))
@@ -255,8 +253,6 @@ def _pruefer_leaves(n: int, draws):
 def _count_in_runs(starts, lengths, column, bounds):
     """Per run ``i``, how many of ``column[starts[i]:starts[i] +
     lengths[i]]`` are below ``bounds[i]``."""
-    import numpy as np
-
     total = int(lengths.sum())
     run = np.repeat(np.arange(starts.size), lengths)
     offsets = np.cumsum(lengths) - lengths - starts
@@ -271,7 +267,7 @@ def _pruefer_draws(n: int, rng: random.Random):
     For a plain ``random.Random`` and ``n < 2**32``, CPython's
     ``randrange(n)`` is ``_randbelow_with_getrandbits``: it takes one
     32-bit Mersenne Twister word per try, keeps its top
-    ``n.bit_length()`` bits and rejects values ``>= n``.  With numpy the
+    ``n.bit_length()`` bits and rejects values ``>= n``.  Here the
     words come from ``getrandbits`` in bulk and are filtered as columns,
     and the draws come back as an int64 column; the rng is then rewound
     and advanced by exactly the words the accepted draws used, so it
@@ -280,17 +276,12 @@ def _pruefer_draws(n: int, rng: random.Random):
     """
     count = n - 2
     if type(rng) is random.Random and n < 1 << 32:
-        try:
-            return _randbelow_column(rng, n, count)
-        except ImportError:  # numpy is optional; nothing was drawn yet
-            pass
+        return _randbelow_column(rng, n, count)
     return [rng.randrange(n) for _ in range(count)]
 
 
 def _randbelow_column(rng: random.Random, n: int, count: int):
     """``count`` draws of ``randrange(n)`` as an int64 column (see above)."""
-    import numpy as np
-
     shift = 32 - n.bit_length()
     state = rng.getstate()
     # Words per accepted draw average 2**bit_length / n, below 2; a

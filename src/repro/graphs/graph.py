@@ -7,14 +7,15 @@ paper assumes: no self-loops, no parallel edges.  Nodes are the integers
 its incident edges through *ports* ``0..deg-1`` ordered by neighbor
 index, matching the port-numbering convention of the LOCAL model.
 
-A graph stores one of two representations and fills in the other on
-demand.  :class:`Graph` built from an edge iterable stores sorted edge
-and adjacency tuples, and builds its CSR columns (see
-:mod:`repro.graphs.csr`) on the first :meth:`Graph.csr`.
-:meth:`Graph.from_columns` builds the CSR straight from two edge
-columns and derives the tuples on their first read, so a pipeline that
-only reads the CSR never pays for a million Python tuples.  numpy is a
-soft dependency: without it every graph is tuple-built.
+A graph stores one representation: its CSR columns (see
+:mod:`repro.graphs.csr`), where entry ``indptr[u] + p`` is port ``p``
+of node ``u``.  Every constructor ends in
+:func:`~repro.graphs.csr.csr_from_columns` (or, for a Prüfer tree,
+:func:`~repro.graphs.csr.csr_from_tree_columns`), which also does the
+edge checks; the sorted edge and adjacency tuples are derived on their
+first read, so a pipeline that only reads the CSR never pays for a
+million Python tuples.  A weighted graph also keeps its weights exactly
+as given, keyed by canonical edge.
 
 The class is immutable after construction: every mutation-flavoured
 operation (:meth:`Graph.add_edges`, :meth:`Graph.remove_edges`,
@@ -28,9 +29,18 @@ core never imports it.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import GraphError
+from repro.graphs.csr import (
+    CSRGraph,
+    _pair_columns,
+    csr_from_columns,
+    csr_from_tree_columns,
+)
 
 __all__ = ["Edge", "Graph", "edge_key"]
 
@@ -44,6 +54,39 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _weight_table(
+    edges: tuple[Edge, ...], weights: Mapping[Edge, float]
+) -> dict[Edge, float]:
+    """``weights`` keyed by canonical edge, once per edge of ``edges``."""
+    table: dict[Edge, float] = {}
+    for (u, v), w in weights.items():
+        key = edge_key(u, v)
+        if key in table:
+            raise GraphError(f"edge {key} given two weights")
+        table[key] = w
+    present = set(edges)
+    missing = present - table.keys()
+    if missing:
+        raise GraphError(f"edges without weight: {sorted(missing)[:5]}")
+    extra = table.keys() - present
+    if extra:
+        raise GraphError(f"weights for absent edges: {sorted(extra)[:5]}")
+    return table
+
+
+def _with_weights(
+    csr: CSRGraph, edges: tuple[Edge, ...], table: Mapping[Edge, float]
+) -> CSRGraph:
+    """``csr`` with the per-half-edge weights of ``table``; ``edges`` is
+    the graph's sorted edge tuple, the order of the ``u < v`` entries."""
+    column = np.fromiter((table[e] for e in edges), dtype=np.float64, count=len(edges))
+    forward = csr.owners < csr.indices
+    half = np.empty(csr.num_entries, dtype=np.float64)
+    half[forward] = column
+    half[csr.reverse[forward]] = column
+    return dataclasses.replace(csr, weights=half)
+
+
 class Graph:
     """Immutable simple undirected graph on nodes ``0..n-1``.
 
@@ -52,8 +95,9 @@ class Graph:
     n:
         Number of nodes.
     edges:
-        Iterable of ``(u, v)`` pairs; order and duplicates-with-same-key
-        are rejected to surface generator bugs early.
+        Iterable of ``(u, v)`` pairs of ints; order and
+        duplicates-with-same-key are rejected to surface generator bugs
+        early.
     weights:
         Optional mapping from edge to a numeric weight, each edge keyed
         once in either orientation.  A graph either weights every edge or
@@ -68,54 +112,21 @@ class Graph:
         edges: Iterable[Edge] = (),
         weights: Mapping[Edge, float] | None = None,
     ) -> None:
-        if n < 0:
-            raise GraphError(f"negative node count {n}")
         self._n = n
-        self._csr = None  # lazily built CSR mirror (see Graph.csr)
-        canonical: list[Edge] = []
-        seen: set[Edge] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) outside node range [0, {n})")
-            key = edge_key(u, v)
-            if key in seen:
-                raise GraphError(f"duplicate edge {key}")
-            seen.add(key)
-            canonical.append(key)
-        canonical.sort()
-        self._edges: tuple[Edge, ...] = tuple(canonical)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        if weights is None:
-            self._weights: dict[Edge, float] | None = None
-        else:
-            normalised: dict[Edge, float] = {}
-            for (u, v), w in weights.items():
-                key = edge_key(u, v)
-                if key in normalised:
-                    raise GraphError(f"edge {key} given two weights")
-                normalised[key] = w
-            missing = seen - set(normalised)
-            if missing:
-                raise GraphError(f"edges without weight: {sorted(missing)[:5]}")
-            extra = set(normalised) - seen
-            if extra:
-                raise GraphError(f"weights for absent edges: {sorted(extra)[:5]}")
-            self._weights = normalised
+        self._csr = csr_from_columns(n, *_pair_columns(n, edges))
+        self._weights = None
+        if weights is not None:
+            self._weights = _weight_table(self._edges, weights)
+            self._csr = _with_weights(self._csr, self._edges, self._weights)
 
     @classmethod
     def from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> "Graph":
         """The unweighted graph with edges ``(us[i], vs[i])``.
 
         Equal to ``Graph(n, zip(us, vs))`` and rejects the same inputs
-        with the same messages, but stores only the CSR columns; the
-        edge and adjacency tuples are derived on their first read.
-        Without numpy it is exactly ``Graph(n, zip(us, vs))``.
+        with the same messages, without a Python pair per edge.
         """
-        return cls._columns_built(n, us, vs, oriented=False)
+        return cls._from_csr(csr_from_columns(n, us, vs))
 
     @classmethod
     def _from_tree_columns(
@@ -124,40 +135,37 @@ class Graph:
         """:meth:`from_columns` for a tree given as ``children[i] ->
         parents[i]`` edges toward node ``n - 1``, whose CSR keeps that
         orientation (see :func:`~repro.graphs.csr.csr_from_tree_columns`)."""
-        return cls._columns_built(n, children, parents, oriented=True)
+        return cls._from_csr(csr_from_tree_columns(n, children, parents))
 
     @classmethod
-    def _columns_built(cls, n: int, us, vs, oriented: bool) -> "Graph":
-        try:
-            from repro.graphs.csr import csr_from_columns, csr_from_tree_columns
-        except ImportError:
-            return cls(n, zip(us, vs))
-        build = csr_from_tree_columns if oriented else csr_from_columns
-        csr = build(n, us, vs)
+    def _from_csr(cls, csr: CSRGraph) -> "Graph":
         graph = cls.__new__(cls)
-        graph._n = n
+        graph._n = csr.n
         graph._weights = None
         graph._csr = csr
         return graph
 
     def __getattr__(self, name: str):
-        # Only reached for unset slots: a columns-built graph leaves
-        # ``_edges`` and ``_adj`` unset until something reads one.  Both
-        # are computed before either is stored, so threads racing here
+        # Only reached for unset slots: ``_edges`` and ``_adj`` are each
+        # derived from the CSR on their first read.  Threads racing here
         # store equal values.
-        if name not in ("_edges", "_adj"):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
+        if name == "_edges":
+            csr = self._csr
+            forward = csr.owners < csr.indices
+            self._edges = tuple(
+                zip(csr.owners[forward].tolist(), csr.indices[forward].tolist())
             )
-        csr = self._csr
-        forward = csr.owners < csr.indices
-        edges = tuple(zip(csr.owners[forward].tolist(), csr.indices[forward].tolist()))
-        flat = csr.indices.tolist()
-        bounds = csr.indptr.tolist()
-        adj = tuple(tuple(flat[bounds[u] : bounds[u + 1]]) for u in range(self._n))
-        self._edges = edges
-        self._adj = adj
-        return edges if name == "_edges" else adj
+            return self._edges
+        if name == "_adj":
+            flat = self._csr.indices.tolist()
+            bounds = self._csr.indptr.tolist()
+            self._adj = tuple(
+                tuple(flat[bounds[u] : bounds[u + 1]]) for u in range(self._n)
+            )
+            return self._adj
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     # -- basic queries ------------------------------------------------------
 
@@ -173,7 +181,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return self._csr.num_entries // 2
 
     def edges(self) -> tuple[Edge, ...]:
         """All edges in canonical sorted order."""
@@ -211,18 +219,9 @@ class Graph:
             raise GraphError(f"node {u} has no port {port}")
         return self._adj[u][port]
 
-    def csr(self):
-        """The graph's CSR columns (see :mod:`repro.graphs.csr`).
-
-        A columns-built graph stores them from construction; a
-        tuple-built one builds them on first use and keeps them for its
-        lifetime — graphs are immutable, so they can never go stale.
-        The numpy import stays local: the dict core never pays for it.
-        """
-        if self._csr is None:
-            from repro.graphs.csr import build_csr
-
-            self._csr = build_csr(self)
+    def csr(self) -> CSRGraph:
+        """The graph's CSR columns (see :mod:`repro.graphs.csr`), its
+        storage since construction."""
         return self._csr
 
     # -- weights ------------------------------------------------------------

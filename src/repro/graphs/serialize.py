@@ -21,10 +21,10 @@ edge or none).  :func:`graph_hash` is the domain-separated content hash
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any
 
 from repro.errors import CanonicalError
+from repro.graphs.csr import _pair_columns
 from repro.graphs.graph import Graph
 from repro.util.canonical import canonical_bytes, domain_hash
 
@@ -75,11 +75,8 @@ def parse_graph_obj(obj: Any) -> tuple[Graph, bool]:
     canonical form (its :func:`graph_to_obj` output, so its canonical
     bytes are the graph's).
 
-    An unweighted graph whose edges are all ``[u, v]`` pairs of plain
-    ints is built with :meth:`Graph.from_columns` over int64 columns,
-    which also decide canonicity; it raises the same errors as the
-    tuple build, which every other graph takes and which calls no
-    object canonical.
+    The edges become int64 columns, which also decide canonicity; a
+    weighted object is never called canonical.
     """
     if not isinstance(obj, dict):
         raise CanonicalError(f"graph object must be a dict, got {type(obj).__name__}")
@@ -95,70 +92,35 @@ def parse_graph_obj(obj: Any) -> tuple[Graph, bool]:
     if not isinstance(raw_edges, list):
         raise CanonicalError("graph edges must be a list of [u, v] pairs")
     raw_weights = obj.get("weights")
-    columns = None if raw_weights is not None else _int_columns(raw_edges)
-    if columns is not None:
-        us, vs = columns
-        try:
-            graph = Graph.from_columns(n, us, vs)
-        except Exception as error:
-            raise CanonicalError(
-                f"graph object does not describe a graph: {error}"
-            ) from None
-        return graph, obj.keys() == _GRAPH_KEYS and _ascending_edges(n, us, vs)
-    edges: list[tuple[int, int]] = []
-    for pair in raw_edges:
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(e, int) and not isinstance(e, bool) for e in pair)
-        ):
-            raise CanonicalError(f"malformed edge entry {pair!r}")
-        edges.append((pair[0], pair[1]))
-    weights = None
     if raw_weights is not None:
-        if not isinstance(raw_weights, list) or len(raw_weights) != len(edges):
+        if not isinstance(raw_weights, list) or len(raw_weights) != len(raw_edges):
             raise CanonicalError(
                 "graph weights must align index-for-index with edges"
             )
         for w in raw_weights:
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise CanonicalError(f"non-numeric edge weight {w!r}")
-        weights = dict(zip(edges, raw_weights))
     try:
-        return Graph(n, edges, weights), False
+        us, vs = _pair_columns(n, raw_edges)
+        if raw_weights is None:
+            graph = Graph.from_columns(n, us, vs)
+        else:
+            edges = list(zip(us.tolist(), vs.tolist()))
+            graph = Graph(n, edges, dict(zip(edges, raw_weights)))
     except Exception as error:
         raise CanonicalError(
             f"graph object does not describe a graph: {error}"
         ) from None
+    canonical = (
+        raw_weights is None
+        and obj.keys() == _GRAPH_KEYS
+        and _ascending_edges(n, us, vs)
+    )
+    return graph, canonical
 
 
 #: The keys of a canonical graph object.
 _GRAPH_KEYS = {"format", "n", "edges", "weights"}
-
-
-def _int_columns(raw_edges: list) -> tuple[Any, Any] | None:
-    """The ``us``/``vs`` int64 columns of a list of ``[u, v]`` pairs of
-    plain ints, or ``None`` — for any other entry, an int outside int64,
-    or without numpy — so the tuple build reports it."""
-    if not set(map(type, raw_edges)) <= {list}:
-        return None
-    if not set(map(len, raw_edges)) <= {2}:
-        return None
-    if not set(map(type, chain.from_iterable(raw_edges))) <= {int}:
-        return None
-    try:
-        import numpy as np
-    except ImportError:
-        return None
-    try:
-        flat = np.fromiter(
-            chain.from_iterable(raw_edges),
-            dtype=np.int64,
-            count=2 * len(raw_edges),
-        )
-    except OverflowError:
-        return None
-    return flat[0::2], flat[1::2]
 
 
 def _ascending_edges(n: int, us: Any, vs: Any) -> bool:

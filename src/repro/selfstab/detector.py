@@ -191,10 +191,10 @@ class DetectionSession:
         :meth:`~repro.core.scheme.ProofLabelingScheme.run` without
         views — the scheme's vectorized batched decider
         (:mod:`repro.core.batch`), which is verdict-identical by
-        contract.  Needs numpy; fastest when the scheme supports batch.
+        contract.  Fastest when the scheme supports batch.
     ``"auto"``
-        ``"array"`` exactly when the scheme has a batched decider and
-        numpy is importable, else ``"views"``.
+        ``"array"`` exactly when the scheme has a batched decider, else
+        ``"views"``.
     """
 
     def __init__(
@@ -226,11 +226,6 @@ class DetectionSession:
         self._views: ViewSet | None = None
         if self.backend == "views":
             self._views = scheme.build_views(self._config, self._certs)
-        else:
-            from repro.core import batch as _batch
-
-            if _batch.np is None:
-                raise SimulationError("the array detection backend needs numpy")
         self._verdict: Verdict | None = None
 
     # -- state access -------------------------------------------------------

@@ -102,30 +102,6 @@ _ENVELOPE_TEMPLATE = (
 )
 
 
-def _decode_assignment(obj: Any) -> dict[int, Any]:
-    certificates = decode_pairs(obj)
-    if certificates is not None:
-        return certificates
-    if not isinstance(obj, list):
-        raise EnvelopeError(
-            f"certificates must be a list of [node, value] pairs, "
-            f"got {type(obj).__name__}"
-        )
-    certificates = {}
-    for pair in obj:
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not isinstance(pair[0], int)
-            or isinstance(pair[0], bool)
-        ):
-            raise EnvelopeError(f"malformed certificate entry {pair!r}")
-        if pair[0] in certificates:
-            raise EnvelopeError(f"duplicate certificate for node {pair[0]}")
-        certificates[pair[0]] = decode_value(pair[1])
-    return certificates
-
-
 def _ascending_nodes(pairs: list) -> bool:
     """Whether well-formed ``[node, value]`` pairs list strictly
     ascending nodes (the order ``to_obj`` writes them in)."""
@@ -483,7 +459,7 @@ class WireBody:
         certificates = None
         if obj.get("certificates") is not None:
             try:
-                certificates = _decode_assignment(obj["certificates"])
+                certificates = decode_pairs(obj["certificates"])
             except CanonicalError as error:
                 raise EnvelopeError(str(error)) from None
         envelope = ProofEnvelope(

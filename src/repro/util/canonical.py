@@ -167,14 +167,40 @@ def encode_pairs(mapping: Mapping[int, Any]) -> list:
     return list(map(list, zip(nodes, values)))
 
 
-def decode_pairs(obj: Any) -> dict[int, Any] | None:
-    """Inverse of :func:`encode_pairs` for well-formed input: the
-    ``{node: value}`` dict of a list of ``[int, encoding]`` pairs with
-    distinct nodes, or ``None`` for anything else, which the caller's
-    entry-by-entry parse then reports.
+def decode_pairs(obj: Any) -> dict[int, Any]:
+    """Inverse of :func:`encode_pairs`: the ``{node: value}`` dict of a
+    list of ``[int, encoding]`` pairs with distinct nodes (tuples count
+    as lists).
 
     A column of plain scalars, or of lists of them, is decoded in bulk.
+    Anything else is decoded entry by entry, and the first malformed or
+    duplicate entry raises :class:`CanonicalError` naming it.
     """
+    decoded = _decode_pairs_in_bulk(obj)
+    if decoded is not None:
+        return decoded
+    if not isinstance(obj, (list, tuple)):
+        raise CanonicalError(
+            f"expected a list of [node, value] pairs, got {type(obj).__name__}"
+        )
+    decoded = {}
+    for pair in obj:
+        if (
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or not isinstance(pair[0], int)
+            or isinstance(pair[0], bool)
+        ):
+            raise CanonicalError(f"malformed [node, value] entry {pair!r}")
+        node, value = pair
+        if node in decoded:
+            raise CanonicalError(f"duplicate entry for node {node}")
+        decoded[node] = decode_value(value)
+    return decoded
+
+
+def _decode_pairs_in_bulk(obj: Any) -> dict[int, Any] | None:
+    """:func:`decode_pairs` of well-formed input, or ``None``."""
     if type(obj) is not list or not _only(obj, {list}):
         return None
     if not set(map(len, obj)) <= {2}:

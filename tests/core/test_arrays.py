@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-# The gate above must run before repro.core.arrays (which imports numpy
-# unconditionally), hence the post-gate imports.
-from repro.core.arrays import ArrayLabeling, column_from_values  # noqa: E402
-from repro.core.labeling import Labeling  # noqa: E402
-from repro.errors import SchemeError  # noqa: E402
+from repro.core.arrays import ArrayLabeling, column_from_values
+from repro.core.labeling import Labeling
+from repro.errors import SchemeError
 
 
 class TestColumnFromValues:

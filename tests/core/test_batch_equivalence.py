@@ -16,15 +16,11 @@ import math
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-# Gate first: without numpy the batch path cannot run at all, so every
-# equivalence property below is vacuous.
-from repro.core import catalog  # noqa: E402
-from repro.core.batch import supports_batch  # noqa: E402
-from repro.core.verifier import Verdict, decide  # noqa: E402
-from repro.obs import metrics as obs  # noqa: E402
-from repro.util.rng import make_rng, spawn  # noqa: E402
+from repro.core import catalog
+from repro.core.batch import supports_batch
+from repro.core.verifier import Verdict, decide
+from repro.obs import metrics as obs
+from repro.util.rng import make_rng, spawn
 
 #: Values an adversary might write into a register: type confusions the
 #: int-code interning must keep faithful (1 == True == 1.0), huge ints

@@ -15,21 +15,19 @@ import copy
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.core import catalog  # noqa: E402
-from repro.core.arrays import ArrayLabeling  # noqa: E402
-from repro.core.batch import (  # noqa: E402
+from repro.core import catalog
+from repro.core.arrays import ArrayLabeling
+from repro.core.batch import (
     supports_batch_marker,
     supports_batch_prove,
     try_batch_member_configuration,
     try_batch_prove,
 )
-from repro.errors import LanguageError  # noqa: E402
-from repro.graphs import Graph  # noqa: E402
-from repro.graphs.generators import random_tree  # noqa: E402
-from repro.graphs.weighted import weighted_copy  # noqa: E402
-from repro.util.rng import make_rng, spawn  # noqa: E402
+from repro.errors import LanguageError
+from repro.graphs import Graph
+from repro.graphs.generators import random_tree
+from repro.graphs.weighted import weighted_copy
+from repro.util.rng import make_rng, spawn
 
 JUNK = (
     None,

@@ -15,21 +15,20 @@ from __future__ import annotations
 import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.core import catalog  # noqa: E402
-from repro.core.arrays import ArrayLabeling, CertificateColumns  # noqa: E402
-from repro.core.batch import batch_prove, try_batch_prove  # noqa: E402
-from repro.core.labeling import Labeling  # noqa: E402
-from repro.core.verifier import Verdict, decide  # noqa: E402
-from repro.graphs import Graph  # noqa: E402
-from repro.graphs.generators import random_tree  # noqa: E402
-from repro.graphs.weighted import weighted_copy  # noqa: E402
-from repro.obs import metrics as obs  # noqa: E402
-from repro.util.idspace import permuted_ids, random_ids  # noqa: E402
-from repro.util.rng import make_rng, spawn  # noqa: E402
+from repro.core import catalog
+from repro.core.arrays import ArrayLabeling, CertificateColumns
+from repro.core.batch import batch_prove, try_batch_prove
+from repro.core.labeling import Labeling
+from repro.core.verifier import Verdict, decide
+from repro.graphs import Graph
+from repro.graphs.generators import random_tree
+from repro.graphs.weighted import weighted_copy
+from repro.obs import metrics as obs
+from repro.util.idspace import permuted_ids, random_ids
+from repro.util.rng import make_rng, spawn
 
 TREE_SCHEMES = ("spanning-tree-ptr", "bfs-tree", "leader")
 

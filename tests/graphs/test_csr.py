@@ -1,84 +1,111 @@
-"""CSR adjacency must mirror the Graph's port structure exactly."""
+"""CSR adjacency must mirror the graph's input edges exactly."""
 
 from __future__ import annotations
 
+import copy
+import pickle
+import sys
+import threading
+
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-# The gate above must run before repro.graphs.csr (which imports numpy
-# unconditionally), hence the post-gate imports.
-import copy  # noqa: E402
-import pickle  # noqa: E402
-import sys  # noqa: E402
-import threading  # noqa: E402
-
-from repro.errors import GraphError  # noqa: E402
-from repro.graphs.csr import (  # noqa: E402
-    build_csr,
-    csr_from_columns,
-    csr_from_tree_columns,
-)
-from repro.graphs.generators import (  # noqa: E402
+from repro.errors import GraphError
+from repro.graphs.csr import csr_from_columns, csr_from_tree_columns
+from repro.graphs.generators import (
     _pruefer_draws,
     _pruefer_leaves,
     connected_gnp,
-    cycle_graph,
     grid_graph,
-    path_graph,
     random_tree,
     star_graph,
 )
-from repro.graphs.graph import Graph  # noqa: E402
-from repro.graphs.weighted import weighted_copy  # noqa: E402
-from repro.util.rng import make_rng  # noqa: E402
+from repro.graphs.graph import Graph
+from repro.util.rng import make_rng
 
 
-def _assert_mirrors(graph):
-    """Every CSR column agrees with the Graph's own port arithmetic."""
+def _reference(n, pairs):
+    """Sorted adjacency lists of ``pairs``: row ``u`` in port order."""
+    adjacency = [[] for _ in range(n)]
+    for u, v in pairs:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return [sorted(row) for row in adjacency]
+
+
+def _assert_mirrors(graph, pairs, weights=None):
+    """The CSR columns and the derived tuples of ``graph`` agree with
+    the reference adjacency of the ``pairs`` it was built from."""
+    pairs = list(pairs)
+    adjacency = _reference(graph.n, pairs)
+    indptr = [0]
+    for row in adjacency:
+        indptr.append(indptr[-1] + len(row))
+    entry = {
+        (u, v): indptr[u] + p
+        for u, row in enumerate(adjacency)
+        for p, v in enumerate(row)
+    }
+    by_entry = sorted(entry, key=entry.get)
     csr = graph.csr()
     assert csr.n == graph.n
-    assert csr.num_entries == 2 * graph.num_edges
-    assert int(csr.indptr[0]) == 0
-    for u in graph.nodes:
-        row = csr.neighbors(u)
-        assert row.tolist() == list(graph.neighbors(u))
-        assert int(csr.indptr[u + 1] - csr.indptr[u]) == graph.degree(u)
-    for j in range(csr.num_entries):
-        u = int(csr.owners[j])
-        v = int(csr.indices[j])
-        port = int(csr.port_at(j))
-        assert graph.neighbor_at(u, port) == v
-        assert graph.port(u, v) == port
-        # The reverse entry is the opposite half-edge, and back_port_at
-        # is the port through which v sees u.
-        r = int(csr.reverse[j])
-        assert int(csr.owners[r]) == v
-        assert int(csr.indices[r]) == u
-        assert int(csr.reverse[r]) == j
-        assert graph.port(v, u) == int(csr.back_port_at(j))
-    if graph.is_weighted:
-        for j in range(csr.num_entries):
-            u, v = int(csr.owners[j]), int(csr.indices[j])
-            assert csr.weights[j] == graph.weight(u, v)
-    else:
+    assert csr.indptr.tolist() == indptr
+    assert csr.owners.tolist() == [u for u, _ in by_entry]
+    assert csr.indices.tolist() == [v for _, v in by_entry]
+    assert csr.reverse.tolist() == [entry[v, u] for u, v in by_entry]
+    for j, (u, v) in enumerate(by_entry):
+        assert int(csr.port_at(j)) == j - indptr[u]
+        assert int(csr.back_port_at(j)) == entry[v, u] - indptr[v]
+    if weights is None:
         assert csr.weights is None
+    else:
+        table = {(min(u, v), max(u, v)): w for (u, v), w in weights.items()}
+        assert csr.weights.tolist() == [table[min(e), max(e)] for e in by_entry]
+    # The tuples derived from the CSR.
+    assert graph.edges() == tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
+    assert graph.num_edges == len(pairs)
+    for u, row in enumerate(adjacency):
+        assert graph.neighbors(u) == tuple(row)
+        assert graph.degree(u) == len(row)
+        for p, v in enumerate(row):
+            assert graph.neighbor_at(u, p) == v
+            assert graph.port(u, v) == p
+
+
+def _grid_pairs(rows, cols):
+    right = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    down = [(v, v + cols) for v in range((rows - 1) * cols)]
+    return right + down
+
+
+def _random_pairs(n, p, seed):
+    """Each pair of ``0..n-1`` with probability ``p``, in random order
+    and orientation."""
+    rng = make_rng(seed)
+    pairs = [
+        (v, u) if rng.random() < 0.5 else (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    ]
+    rng.shuffle(pairs)
+    return pairs
 
 
 @pytest.mark.parametrize(
-    "graph",
+    "n, pairs",
     [
-        path_graph(1),
-        path_graph(2),
-        path_graph(9),
-        cycle_graph(3),
-        cycle_graph(8),
-        star_graph(6),
-        grid_graph(3, 4),
-        Graph(5, [(0, 1), (3, 4)]),  # node 2 isolated
-        Graph(4),  # no edges at all
-        Graph(0),  # empty graph
-        random_tree(40, make_rng(4)),  # columns-built
+        (1, []),
+        (2, [(1, 0)]),
+        (9, [(i, i + 1) for i in range(8)]),
+        (3, [(0, 1), (2, 1), (0, 2)]),
+        (8, [(i, (i + 1) % 8) for i in range(8)]),
+        (6, [(i, 0) for i in range(1, 6)]),
+        (12, _grid_pairs(3, 4)),
+        (5, [(0, 1), (3, 4)]),
+        (4, []),
+        (0, []),
+        (15, _random_pairs(15, 0.3, seed=1)),
     ],
     ids=[
         "single-node",
@@ -91,31 +118,41 @@ def _assert_mirrors(graph):
         "isolated-middle",
         "edgeless",
         "empty",
-        "columns-random-tree",
+        "random",
     ],
 )
-def test_round_trip(graph):
-    _assert_mirrors(graph)
+def test_round_trip(n, pairs):
+    _assert_mirrors(Graph(n, pairs), pairs)
+    us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+    _assert_mirrors(Graph.from_columns(n, us, vs), pairs)
 
 
 def test_round_trip_weighted():
+    pairs = _random_pairs(12, 0.4, seed=5)
     rng = make_rng(5)
-    _assert_mirrors(weighted_copy(connected_gnp(12, 0.4, rng), rng))
+    ints = {pair: rng.randint(1, 10) for pair in pairs}
+    _assert_mirrors(Graph(12, pairs, ints), pairs, ints)
+    floats = {pair: rng.random() for pair in pairs}
+    _assert_mirrors(Graph(12, pairs, floats), pairs, floats)
 
 
 def test_random_graphs_round_trip():
-    rng = make_rng(11)
-    for _ in range(5):
-        _assert_mirrors(connected_gnp(10, 0.35, rng))
+    for seed in range(5):
+        pairs = _random_pairs(10, 0.35, seed)
+        _assert_mirrors(Graph(10, pairs), pairs)
+
+
+def test_columns_random_tree_round_trip():
+    n = 40
+    draws = _pruefer_draws(n, make_rng(4))
+    children, parents = _pruefer_leaves(n, draws), np.append(draws, n - 1)
+    pairs = list(zip(children.tolist(), parents.tolist()))
+    _assert_mirrors(random_tree(n, make_rng(4)), pairs)
 
 
 def test_cached_on_graph():
-    graph = cycle_graph(5)
+    graph = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
     assert graph.csr() is graph.csr()
-    # build_csr constructs a fresh equivalent structure.
-    fresh = build_csr(graph)
-    assert fresh is not graph.csr()
-    assert fresh.indices.tolist() == graph.csr().indices.tolist()
 
 
 def test_isolated_nodes_have_empty_rows():
@@ -154,12 +191,11 @@ def test_from_columns_equals_tuple_built(graph):
     expected = Graph(graph.n, zip(us, vs))
     built = Graph.from_columns(graph.n, us, vs)
     # The CSR first, while the tuples are still underived.
-    fresh = build_csr(expected)
     for name in CSR_COLUMNS:
         column = getattr(built.csr(), name)
-        assert column.dtype == getattr(fresh, name).dtype
-        assert column.tolist() == getattr(fresh, name).tolist(), name
-    assert built.csr().weights is None
+        assert column.dtype == getattr(expected.csr(), name).dtype
+        assert column.tolist() == getattr(expected.csr(), name).tolist(), name
+    _assert_mirrors(built, zip(us, vs))
     assert built == expected and hash(built) == hash(expected)
     assert built.edges() == expected.edges()
     assert built.num_edges == expected.num_edges
@@ -228,17 +264,20 @@ def test_racing_first_reads_see_one_graph():
 
 
 @pytest.mark.parametrize(
-    "n, edges",
+    "n, edges, message",
     [
-        (3, [(0, 1), (1, 3)]),
-        (3, [(0, 1), (-1, 2)]),
-        (3, [(0, 1), (2, 2)]),
-        (3, [(0, 1), (1, 2), (0, 1)]),
-        (3, [(0, 1), (1, 2), (1, 0)]),
-        (4, [(1, 0), (2, 3), (0, 1), (3, 2)]),  # the first repeat is reported
-        (4, [(0, 1), (1, 0), (2, 9)]),  # a repeat before a range error
-        (4, [(0, 1), (3, 3), (1, 0)]),  # a self-loop before a repeat
-        (-1, []),
+        (3, [(0, 1), (1, 3)], "edge (1, 3) outside node range [0, 3)"),
+        (3, [(0, 1), (-1, 2)], "edge (-1, 2) outside node range [0, 3)"),
+        (3, [(0, 1), (2, 2)], "self-loop on node 2"),
+        (3, [(0, 1), (1, 2), (0, 1)], "duplicate edge (0, 1)"),
+        (3, [(0, 1), (1, 2), (1, 0)], "duplicate edge (0, 1)"),
+        # The first repeat is reported.
+        (4, [(2, 3), (1, 0), (3, 2), (0, 1)], "duplicate edge (2, 3)"),
+        # A repeat before a range error.
+        (4, [(0, 1), (1, 0), (2, 9)], "duplicate edge (0, 1)"),
+        # A self-loop before a repeat.
+        (4, [(0, 1), (3, 3), (1, 0)], "self-loop on node 3"),
+        (-1, [], "negative node count -1"),
     ],
     ids=[
         "out-of-range",
@@ -252,9 +291,9 @@ def test_racing_first_reads_see_one_graph():
         "negative-n",
     ],
 )
-def test_from_columns_error_messages_match(n, edges):
+def test_from_columns_error_messages_match(n, edges, message):
     with pytest.raises(GraphError) as expected:
         Graph(n, edges)
     with pytest.raises(GraphError) as got:
         Graph.from_columns(n, [u for u, _ in edges], [v for _, v in edges])
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == str(expected.value) == message

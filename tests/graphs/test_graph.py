@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphError
@@ -20,21 +21,42 @@ class TestConstruction:
         assert g.edges() == ((0, 1), (1, 2))
         assert g.neighbors(1) == (0, 2)
 
-    def test_rejects_self_loop(self):
-        with pytest.raises(GraphError):
-            Graph(2, [(1, 1)])
-
-    def test_rejects_duplicate_edge(self):
-        with pytest.raises(GraphError):
-            Graph(3, [(0, 1), (1, 0)])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(GraphError):
-            Graph(2, [(0, 2)])
-
     def test_rejects_negative_n(self):
         with pytest.raises(GraphError):
             Graph(-1)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 2)], "edge (0, 2) outside node range [0, 2)"),
+            ([(1, 1)], "self-loop on node 1"),
+            ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+            ([(True, 1)], "malformed edge entry (True, 1)"),
+            ([(0, 1.0)], "malformed edge entry (0, 1.0)"),
+            ([(0, "1")], "malformed edge entry (0, '1')"),
+            ([(0, 1, 1)], "malformed edge entry (0, 1, 1)"),
+            ([0], "malformed edge entry 0"),
+        ],
+        ids=[
+            "range",
+            "self-loop",
+            "duplicate",
+            "bool",
+            "float",
+            "string",
+            "three",
+            "scalar",
+        ],
+    )
+    def test_rejects_invalid_edges(self, edges, message):
+        with pytest.raises(GraphError) as error:
+            Graph(2, edges)
+        assert str(error.value) == message
+
+    def test_numpy_endpoints_become_ints(self):
+        g = Graph(3, [(np.int64(0), np.int32(2))])
+        assert g.edges() == ((0, 2),)
+        assert all(type(x) is int for x in g.edges()[0])
 
 
 class TestQueries:

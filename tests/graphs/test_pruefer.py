@@ -13,14 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from repro.graphs.generators import (  # noqa: E402
+from repro.graphs.generators import (
     _pruefer_leaves,
     _pruefer_leaves_loop,
 )

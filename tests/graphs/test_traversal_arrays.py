@@ -10,25 +10,23 @@ functional graph, cycles included.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from repro.errors import GraphError  # noqa: E402
-from repro.graphs.csr import csr_from_tree_columns  # noqa: E402
-from repro.graphs.generators import random_tree  # noqa: E402
-from repro.graphs.graph import Graph  # noqa: E402
-from repro.graphs.subgraphs import PointerStructure  # noqa: E402
-from repro.graphs.traversal_arrays import (  # noqa: E402
+from repro.errors import GraphError
+from repro.graphs.csr import csr_from_tree_columns
+from repro.graphs.generators import random_tree
+from repro.graphs.graph import Graph
+from repro.graphs.subgraphs import PointerStructure
+from repro.graphs.traversal_arrays import (
     bfs_arrays,
     bfs_arrays_indexed,
     pointer_depths,
 )
-from repro.obs import metrics as obs  # noqa: E402
-from repro.util.rng import make_rng  # noqa: E402
+from repro.obs import metrics as obs
+from repro.util.rng import make_rng
 
 
 def _assert_tree_path_is_frontier(csr, root):

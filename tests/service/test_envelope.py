@@ -10,6 +10,7 @@ and value zoos, not example checks.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.serialize import graph_from_obj, graph_hash, graph_to_obj
 from repro.graphs.weighted import weighted_copy
 from repro.service.envelope import NullifierRegistry, ProofEnvelope
+from repro.service.server import build_envelope
 from repro.util.canonical import (
     canonical_bytes,
     decode_value,
@@ -175,6 +177,35 @@ class TestGraphSerialization:
         base = cycle_graph(6)
         assert graph_hash(base) != graph_hash(weighted_copy(base, rng))
 
+    def test_golden_hashes(self):
+        # Literal digests: cache keys and shard routing must not move
+        # when the graph's storage or the codec's internals change.
+        tree = random_tree(50, make_rng(1))
+        golden = {
+            "cycle": (
+                cycle_graph(6),
+                "8aaa7dbf0d3588c10cf349d8205278a516d2c5f3def474469a72e9158e791d25",
+            ),
+            "tree": (
+                tree,
+                "9705a29ee4c5cc82b506ad148de2f4849484fff3e370a0f929636f0adf834fc1",
+            ),
+            "int-weighted": (
+                weighted_copy(tree, make_rng(2), distinct=False),
+                "025b8bc3f64fcbe8be7b0d933e2b1566ea89daf217a635c487295c00c1f765e9",
+            ),
+            "float-weighted": (
+                tree.with_weights(lambda u, v: u / 4 + v / 8),
+                "589a4806e273206a93dd9547ac3381bed266398f14625dac1799cc8334225aa7",
+            ),
+        }
+        for name, (graph, digest) in golden.items():
+            assert graph_hash(graph) == digest, name
+        envelope = build_envelope("leader", n=32, seed=0)
+        assert envelope.body_hash == (
+            "f86ddbf3f57f525962df58d6df217782deb3f14b39f669d03da99f7d5f7164b8"
+        )
+
     @pytest.mark.parametrize(
         "obj",
         [
@@ -219,6 +250,39 @@ class TestLabelingSerialization:
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(CanonicalError):
             Labeling.from_obj([[0, None], [0, None]])
+
+    def test_tuples_accepted(self):
+        back = Labeling.from_obj(((0, 1), (1, {"__pls__": "fset", "v": [2]})))
+        assert back == Labeling({0: 1, 1: frozenset({2})})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"0": 1}, "expected a list of [node, value] pairs, got dict"),
+            ([[0, 1], [True, 2], [1]], "malformed [node, value] entry [True, 2]"),
+            ([[0, 1], [1, 2, 3]], "malformed [node, value] entry [1, 2, 3]"),
+            ([[0, 1], 5], "malformed [node, value] entry 5"),
+            ([[0, 1], [1, 2], [0, 3], [0]], "duplicate entry for node 0"),
+            (
+                [[0, {"__pls__": "fset", "v": [1]}], [0, 3]],
+                "duplicate entry for node 0",
+            ),
+        ],
+        ids=[
+            "not-a-list",
+            "bool-node",
+            "three",
+            "scalar",
+            "duplicate",
+            "duplicate-mixed",
+        ],
+    )
+    def test_first_bad_entry_named(self, obj, message):
+        with pytest.raises(CanonicalError) as error:
+            Labeling.from_obj(obj)
+        assert str(error.value) == message
+        with pytest.raises(EnvelopeError, match=re.escape(message)):
+            ProofEnvelope.from_obj({**_envelope().to_obj(), "certificates": obj})
 
 
 # ---------------------------------------------------------------------------
