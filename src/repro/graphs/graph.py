@@ -197,7 +197,7 @@ class Graph:
         return len(self._adj[u])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return int(self._csr.degrees().max(initial=0))
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)
@@ -370,7 +370,7 @@ class Graph:
 
     def __repr__(self) -> str:
         kind = "weighted " if self._weights is not None else ""
-        return f"Graph({kind}n={self._n}, m={len(self._edges)})"
+        return f"Graph({kind}n={self._n}, m={self.num_edges})"
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.nodes)
