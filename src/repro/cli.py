@@ -315,12 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default=None, help="bind address")
     serve.add_argument("--port", type=int, default=None)
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="sharded decider processes (0 = decide in-process)",
-    )
-    serve.add_argument(
         "--cache-size", type=int, default=256, help="verdict LRU capacity"
     )
     serve.add_argument(
@@ -694,7 +688,7 @@ def _cmd_serve(args) -> int:
         DEFAULT_MAX_INFLIGHT,
         DEFAULT_PORT,
         DEFAULT_REQUEST_TIMEOUT,
-        serve,
+        make_server,
     )
 
     host = args.host if args.host is not None else DEFAULT_HOST
@@ -703,21 +697,29 @@ def _cmd_serve(args) -> int:
                     else DEFAULT_MAX_INFLIGHT)
     request_timeout = (args.request_timeout if args.request_timeout is not None
                        else DEFAULT_REQUEST_TIMEOUT)
-    service = CertificationService(
-        cache_size=args.cache_size, workers=args.workers
+    try:
+        server = make_server(
+            host,
+            port,
+            service=CertificationService(cache_size=args.cache_size),
+            verbose=args.verbose,
+            max_inflight=max_inflight,
+            request_timeout=request_timeout,
+        )
+    except ValueError as error:
+        print(f"repro serve: error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
+    print(
+        f"serving on http://{host}:{server.server_port} "
+        f"(cache={args.cache_size}, max_inflight={max_inflight})",
+        file=sys.stderr,
     )
-    print(f"serving on http://{host}:{port} "
-          f"(workers={args.workers}, cache={args.cache_size}, "
-          f"max_inflight={max_inflight})",
-          file=sys.stderr)
-    serve(
-        host,
-        port,
-        service=service,
-        verbose=args.verbose,
-        max_inflight=max_inflight,
-        request_timeout=request_timeout,
-    )
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:  # pragma: no cover - interactive only
+        pass
+    finally:
+        server.server_close()
     return 0
 
 

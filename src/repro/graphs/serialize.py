@@ -5,8 +5,7 @@ in canonical sorted order, so it already *has* one obvious byte form —
 this module pins it down and version-tags it so serialized graphs are
 durable objects: two equal graphs (same node count, edge set, and
 weights) produce identical bytes in any process, which is what lets a
-content hash key the certification service's result cache and shard
-affinity.
+content hash key the certification service's result cache.
 
 The object form is JSON-able and stdlib-only::
 

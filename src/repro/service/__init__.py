@@ -17,8 +17,7 @@ catalog into a long-running verification service:
   dispatch through :func:`repro.core.catalog.build`, batched array
   deciders with per-node fallback, a bounded LRU keyed by envelope
   content so hot configurations re-certify with no decode and no
-  decider work, and an optional
-  graph-hash-affine sharded worker pool for cold misses;
+  decider work;
 * :mod:`repro.service.httpd` — a stdlib-only threaded HTTP front end
   (``repro serve`` / ``repro submit`` on the CLI) with a bounded
   in-flight gate that answers 429 past saturation;
@@ -27,7 +26,7 @@ catalog into a long-running verification service:
   envelopes over one connection and retries 429s within a bounded
   budget.
 
-Cache hits, misses, nullifier rejections, and queue depth all flow
+Submissions, cache hits, misses, and nullifier rejections all flow
 through the :mod:`repro.obs` metrics ledger under ``service.*``
 counters.
 """

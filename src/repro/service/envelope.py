@@ -49,7 +49,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
-from typing import Any, Mapping
+from typing import Any
 
 from repro.core.labeling import Labeling
 from repro.errors import CanonicalError, EnvelopeError, ReplayError
@@ -282,11 +282,7 @@ class ProofEnvelope:
         )
 
     @classmethod
-    def from_obj(
-        cls,
-        obj: Any,
-        graph_cache: Mapping[str, Graph] | None = None,
-    ) -> "ProofEnvelope":
+    def from_obj(cls, obj: Any) -> "ProofEnvelope":
         """Parse and validate a wire object.
 
         Strict: unknown format tags, malformed sections, non-string
@@ -294,24 +290,13 @@ class ProofEnvelope:
         (checked before the graph is built), and a graph payload that
         does not hash to its declared binding all raise
         :class:`~repro.errors.EnvelopeError`.
-
-        ``graph_cache`` maps graph hashes to already-parsed graphs; when
-        the wire object's declared ``graph_hash`` is present there, the
-        cached :class:`~repro.graphs.graph.Graph` (with whatever CSR
-        mirror it has accumulated) is reused and the O(m) payload parse
-        and re-hash are skipped — the warm path of the service's
-        graph-affine workers.
         """
-        return WireBody(obj).decode(graph_cache)
+        return WireBody(obj).decode()
 
     @classmethod
-    def from_bytes(
-        cls,
-        payload: bytes | str,
-        graph_cache: Mapping[str, Graph] | None = None,
-    ) -> "ProofEnvelope":
+    def from_bytes(cls, payload: bytes | str) -> "ProofEnvelope":
         """Parse an envelope from its canonical JSON byte form."""
-        return WireBody.load(payload).decode(graph_cache)
+        return WireBody.load(payload).decode()
 
     def __repr__(self) -> str:
         certs = "honest" if self.certificates is None else "supplied"
@@ -405,7 +390,7 @@ class WireBody:
             return None
         return _nullifier(body_hash, self.obj.get("nonce", ""))
 
-    def decode(self, graph_cache: Mapping[str, Graph] | None = None) -> ProofEnvelope:
+    def decode(self) -> ProofEnvelope:
         """The validated :class:`ProofEnvelope` (see
         :meth:`ProofEnvelope.from_obj`)."""
         _metrics.inc("service.envelope.decoded")
@@ -426,30 +411,19 @@ class WireBody:
         if not isinstance(nonce, str):
             raise EnvelopeError(f"nonce {nonce!r} is not a string")
         declared = obj.get("graph_hash")
-        cached_graph = None
-        if graph_cache is not None and isinstance(declared, str):
-            cached_graph = graph_cache.get(declared)
-        canonical_graph = False
         try:
             params = decode_value(obj.get("params"))
             # The labeling first: a graph is only built once the
             # labeling fits its declared size, so a short body cannot
             # make the parse allocate a large graph.
             labeling = Labeling.from_obj(obj.get("labeling"))
-            declared_n = (
-                cached_graph.n
-                if cached_graph is not None
-                else _declared_node_count(obj.get("graph"))
-            )
+            declared_n = _declared_node_count(obj.get("graph"))
             if declared_n is not None and declared_n != len(labeling):
                 raise EnvelopeError(
                     "labeling does not fit the graph: "
                     "labeling does not cover the graph's nodes"
                 )
-            if cached_graph is not None:
-                graph = cached_graph
-            else:
-                graph, canonical_graph = parse_graph_obj(obj.get("graph"))
+            graph, canonical_graph = parse_graph_obj(obj.get("graph"))
         except CanonicalError as error:
             raise EnvelopeError(str(error)) from None
         if not isinstance(params, dict) or not all(
@@ -471,16 +445,12 @@ class WireBody:
             nonce=nonce,
         )
         hashes = envelope._hashes
-        if cached_graph is not None:
-            # The cache key *is* the verified hash of this graph.
-            hashes["graph"] = declared
-        else:
-            if canonical_graph:
-                hashes["graph"] = self.part_hash("graph")
-            if declared is not None and declared != envelope._graph_hash():
-                raise EnvelopeError(
-                    "graph payload does not match its content-hash binding"
-                )
+        if canonical_graph:
+            hashes["graph"] = self.part_hash("graph")
+        if declared is not None and declared != envelope._graph_hash():
+            raise EnvelopeError(
+                "graph payload does not match its content-hash binding"
+            )
         # A part with strictly ascending nodes and no JSON object holds
         # no tagged wrapper, so decoding and re-encoding it gives back
         # the same value: its raw hash is its decoded hash.

@@ -8,8 +8,8 @@ beyond :mod:`http.server`:
 ``/healthz``        GET     liveness probe (``{"ok": true}``)
 ``/schemes``        GET     the machine-readable catalog (``list-schemes
                             --json`` shape)
-``/metrics``        GET     service counters, cache occupancy, queue
-                            depth, in-flight requests
+``/metrics``        GET     service counters, cache occupancy,
+                            in-flight requests
 ``/certify``        POST    one :class:`~repro.service.envelope.
                             ProofEnvelope` in wire form; returns the
                             :class:`~repro.service.server.
@@ -75,7 +75,6 @@ __all__ = [
     "DEFAULT_REQUEST_TIMEOUT",
     "CertifyHTTPServer",
     "make_server",
-    "serve",
 ]
 
 DEFAULT_HOST = "127.0.0.1"
@@ -117,6 +116,10 @@ class CertifyHTTPServer(ThreadingHTTPServer):
         if max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be positive, got {max_inflight}"
+            )
+        if request_timeout is not None and not request_timeout > 0:
+            raise ValueError(
+                f"request_timeout must be positive, got {request_timeout}"
             )
         super().__init__(address, _Handler)
         self.service = service
@@ -364,30 +367,3 @@ def make_server(
         request_timeout=request_timeout,
         verbose=verbose,
     )
-
-
-def serve(
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    service: CertificationService | None = None,
-    verbose: bool = False,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
-) -> None:
-    """Serve forever (the ``repro serve`` entry point)."""
-    server = make_server(
-        host,
-        port,
-        service=service,
-        verbose=verbose,
-        max_inflight=max_inflight,
-        request_timeout=request_timeout,
-    )
-    owned = server.service
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        pass
-    finally:
-        server.server_close()
-        owned.close()

@@ -1,4 +1,4 @@
-"""The certification service: validate, dispatch, decide, cache, shard.
+"""The certification service: validate, dispatch, decide, cache.
 
 :class:`CertificationService` is the long-running half of the PLS
 split.  One :meth:`~CertificationService.submit` call takes a
@@ -33,16 +33,8 @@ returns a structured :class:`CertificationResult`:
    timings are recorded through :mod:`repro.obs` spans and returned in
    the result.
 
-With ``workers > 0`` cold misses run on a **sharded process pool**: one
-single-process executor per shard, envelopes routed by graph hash and
-sent as the bytes they arrived in, so each worker's module-level graph
-cache (and the CSR mirror cached on the
-:class:`~repro.graphs.graph.Graph` it holds) stays warm for the graphs
-it owns.  ``service.queue.enqueued`` / ``service.queue.completed``
-counters make queue depth readable as a ledger delta.
-
 Threading contract: :meth:`~CertificationService.submit` (and the
-batch entry points) may be called from many threads at once — the
+batch entry point) may be called from many threads at once — the
 threaded HTTP front end does exactly that.  Two locks are involved,
 with a strict ordering (see docs/ARCHITECTURE.md, "Threading model"):
 
@@ -64,7 +56,6 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from threading import Lock
@@ -95,9 +86,6 @@ __all__ = [
 #: At most this many rejecting nodes are reported back (the count is
 #: always exact; the sample keeps results O(1)-sized on huge graphs).
 REJECT_SAMPLE = 16
-
-#: Per-worker graph cache entries (graphs owned by one shard at a time).
-_WORKER_GRAPH_CAPACITY = 8
 
 
 @dataclass(frozen=True)
@@ -171,9 +159,8 @@ def _rng_seed(body_hash: str) -> int:
 def _execute(envelope: ProofEnvelope, timings: dict[str, float]) -> dict[str, Any]:
     """Validate + build + (prove) + decide one envelope, no caching.
 
-    Returns a plain JSON-able dict so the same function runs in-process
-    and inside pool workers.  Raises :class:`ServiceError` subclasses on
-    invalid submissions.
+    Returns the verdict fields of a :class:`CertificationResult`.
+    Raises :class:`ServiceError` subclasses on invalid submissions.
     """
     with _stage(timings, "validate"):
         try:
@@ -213,65 +200,9 @@ def _execute(envelope: ProofEnvelope, timings: dict[str, float]) -> dict[str, An
         "n": envelope.graph.n,
         "accepted": not rejecting,
         "rejections": len(rejecting),
-        "rejecting": rejecting[:REJECT_SAMPLE],
+        "rejecting": tuple(rejecting[:REJECT_SAMPLE]),
         "backend": verdict.backend,
     }
-
-
-# ---------------------------------------------------------------------------
-# Worker side of the sharded pool.
-# ---------------------------------------------------------------------------
-
-#: Per-process graph cache: graph hash -> Graph (whose CSR mirror stays
-#: cached on the instance).  Shard affinity keeps this hot: a worker
-#: only ever sees the graph hashes routed to its shard.
-_WORKER_GRAPHS: "OrderedDict[str, Graph]" = OrderedDict()
-
-
-def _worker_certify(payload: bytes) -> dict[str, Any]:
-    """Pool entry point: parse (against the warm graph cache) and execute."""
-    envelope = ProofEnvelope.from_bytes(payload, graph_cache=_WORKER_GRAPHS)
-    _WORKER_GRAPHS[envelope.graph_hash] = envelope.graph
-    _WORKER_GRAPHS.move_to_end(envelope.graph_hash)
-    while len(_WORKER_GRAPHS) > _WORKER_GRAPH_CAPACITY:
-        _WORKER_GRAPHS.popitem(last=False)
-    timings: dict[str, float] = {}
-    result = _execute(envelope, timings)
-    result["timings"] = timings
-    return result
-
-
-class _ShardPool:
-    """Graph-hash-affine pool: one single-process executor per shard.
-
-    Routing by graph hash (not round-robin) is what makes the worker
-    graph caches effective: every envelope over one graph lands on the
-    same worker, whose parsed :class:`Graph` — and the CSR mirror cached
-    on it — stays warm across submissions.
-    """
-
-    def __init__(self, workers: int) -> None:
-        self._shards = [
-            ProcessPoolExecutor(max_workers=1) for _ in range(workers)
-        ]
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def shard_of(self, envelope: ProofEnvelope) -> int:
-        return int(envelope.graph_hash[:8], 16) % len(self._shards)
-
-    def submit(self, envelope: ProofEnvelope, payload: bytes | None = None):
-        """Decide ``envelope`` on its shard, sent as ``payload`` — the
-        bytes it arrived as — or else re-encoded."""
-        executor = self._shards[self.shard_of(envelope)]
-        if payload is None:
-            payload = envelope.to_bytes()
-        return executor.submit(_worker_certify, payload)
-
-    def shutdown(self) -> None:
-        for executor in self._shards:
-            executor.shutdown(wait=False, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +219,6 @@ class _Admitted:
     nullifier: str
     envelope: ProofEnvelope | None = None
     wire: WireBody | None = None
-    #: The bytes the body arrived as, forwarded to a pool worker.
-    payload: bytes | None = None
 
     def decoded(self) -> ProofEnvelope:
         if self.envelope is None:
@@ -305,11 +234,6 @@ class CertificationService:
     ----------
     cache_size:
         Bounded LRU capacity (results, keyed by envelope body hash).
-    workers:
-        ``0`` decides cold misses in-process (the default — and the
-        right choice under tests and single-request CLIs); ``> 0``
-        shards cold misses over that many single-process executors by
-        graph hash.
     nullifier_capacity:
         Size of the anti-replay window (see
         :class:`~repro.service.envelope.NullifierRegistry`).
@@ -318,44 +242,32 @@ class CertificationService:
     def __init__(
         self,
         cache_size: int = 256,
-        workers: int = 0,
         nullifier_capacity: int = 100_000,
     ) -> None:
         if cache_size < 1:
             raise ValueError(f"cache_size must be positive, got {cache_size}")
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         self.cache_size = cache_size
         self.nullifiers = NullifierRegistry(nullifier_capacity)
         self._cache: "OrderedDict[str, CertificationResult]" = OrderedDict()
         self._lock = Lock()
-        self._pool = _ShardPool(workers) if workers else None
         #: Service-lifetime tallies (also charged to the obs ledger).
         self.stats: dict[str, int] = {
             "submitted": 0,
             "cache_hits": 0,
             "cache_misses": 0,
             "replays_rejected": 0,
-            "enqueued": 0,
-            "completed": 0,
         }
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Nothing to release; kept so callers can scope a service."""
 
     def __enter__(self) -> "CertificationService":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    @property
-    def workers(self) -> int:
-        return len(self._pool) if self._pool is not None else 0
 
     # -- introspection -------------------------------------------------------
 
@@ -370,11 +282,9 @@ class CertificationService:
             cached = len(self._cache)
         return {
             "stats": stats,
-            "queue_depth": stats["enqueued"] - stats["completed"],
             "cache_entries": cached,
             "cache_size": self.cache_size,
             "nullifiers_spent": len(self.nullifiers),
-            "workers": self.workers,
         }
 
     def cached(self, body_hash: str) -> bool:
@@ -387,29 +297,19 @@ class CertificationService:
         """Hash a submission; decode a wire body only if its raw body
         hash does not name a cached verdict (see
         :class:`~repro.service.envelope.WireBody`)."""
-        if isinstance(envelope, _Admitted):
-            return envelope
         if isinstance(envelope, ProofEnvelope):
             return _Admitted(envelope.body_hash, envelope.nullifier, envelope)
-        payload = None
         if isinstance(envelope, (bytes, str)):
             wire = WireBody.load(envelope)
-            payload = (
-                envelope.encode("utf-8") if isinstance(envelope, str) else envelope
-            )
         else:
             wire = WireBody(envelope)
         body_hash = wire.body_hash
         if body_hash is not None and self.cached(body_hash):
-            return _Admitted(body_hash, wire.nullifier, wire=wire, payload=payload)
+            return _Admitted(body_hash, wire.nullifier, wire=wire)
         parsed = wire.decode()
-        return _Admitted(parsed.body_hash, parsed.nullifier, parsed, payload=payload)
+        return _Admitted(parsed.body_hash, parsed.nullifier, parsed)
 
-    def submit(
-        self,
-        envelope: Any,
-        _prelaunched: dict[str, Any] | None = None,
-    ) -> CertificationResult:
+    def submit(self, envelope: Any) -> CertificationResult:
         """Certify one envelope (wire bytes, wire object, or instance).
 
         Wire input is loaded once; a body whose raw hash names a cached
@@ -449,65 +349,29 @@ class CertificationService:
         _metrics.inc("service.cache.miss")
         with self._lock:
             self.stats["cache_misses"] += 1
-        parsed = admitted.decoded()
-        future = None
-        if _prelaunched is not None:
-            future = _prelaunched.pop(body_hash, None)
-        if future is None and self._pool is not None:
-            _metrics.inc("service.queue.enqueued")
-            with self._lock:
-                self.stats["enqueued"] += 1
-            future = self._pool.submit(parsed, admitted.payload)
-        if future is not None:
-            raw = self._collect(future)
-        else:
-            raw = _execute(parsed, timings)
+        verdict = _execute(admitted.decoded(), timings)
         timings["total"] = time.perf_counter() - start
         result = CertificationResult(
-            scheme=raw["scheme"],
-            params=raw["params"],
-            n=raw["n"],
-            accepted=raw["accepted"],
-            rejections=raw["rejections"],
-            rejecting=tuple(raw["rejecting"]),
-            backend=raw["backend"],
+            **verdict,
             cache_hit=False,
             body_hash=body_hash,
             nullifier=nullifier,
-            timings={**raw.get("timings", {}), **timings},
+            timings=timings,
         )
         self._store(body_hash, result)
         return result
-
-    def submit_many(self, envelopes: Iterable[Any]) -> list[CertificationResult]:
-        """Submit a batch; with a pool, cold misses run concurrently.
-
-        Results come back in submission order, and each envelope is
-        admitted exactly as :meth:`submit` would admit it (a replayed
-        nullifier still raises, at its position) — batching changes
-        scheduling, never semantics.  Distinct graphs land on distinct
-        shards, so a mixed batch fans out across the pool.
-        """
-        if self._pool is None:
-            return [self.submit(envelope) for envelope in envelopes]
-        admitted = [self._admit(envelope) for envelope in envelopes]
-        prelaunched = self._prelaunch(admitted)
-        try:
-            return [self.submit(item, _prelaunched=prelaunched) for item in admitted]
-        finally:
-            self._drain(prelaunched)
 
     def submit_settled(
         self, envelopes: Iterable[Any]
     ) -> list[tuple[str, Any]]:
         """Submit a batch, settling every outcome instead of raising.
 
-        The wire form of :meth:`submit_many` — the ``/certify-batch``
-        route needs one outcome *per envelope* even when some are
-        replays or malformed, where :meth:`submit_many` (the in-process
-        API) raises at the offending position.  Each envelope is
-        admitted exactly as :meth:`submit` would admit it; outcomes
-        come back in submission order as ``(kind, payload)``:
+        The ``/certify-batch`` route needs one outcome *per envelope*
+        even when some are replays or malformed, where :meth:`submit`
+        raises.  Each envelope runs through :meth:`submit` in turn, so a
+        body repeated in one batch is decoded once and then served from
+        the cache; outcomes come back in submission order as
+        ``(kind, payload)``:
 
         ``("ok", CertificationResult)``
             a decided verdict (accepted or not);
@@ -515,75 +379,16 @@ class CertificationService:
             the nullifier was already spent;
         ``("invalid", message)``
             malformed or unservable (the 400 class).
-
-        With a worker pool, distinct cold bodies prelaunch concurrently
-        just like :meth:`submit_many`.
         """
-        admitted: list[Any] = []
+        outcomes: list[tuple[str, Any]] = []
         for envelope in envelopes:
             try:
-                admitted.append(self._admit(envelope))
+                outcomes.append(("ok", self.submit(envelope)))
+            except ReplayError as error:
+                outcomes.append(("replay", str(error)))
             except ServiceError as error:
-                admitted.append(error)
-        prelaunched = self._prelaunch(
-            [item for item in admitted if isinstance(item, _Admitted)]
-        )
-        outcomes: list[tuple[str, Any]] = []
-        try:
-            for item in admitted:
-                if isinstance(item, ServiceError):
-                    outcomes.append(("invalid", str(item)))
-                    continue
-                try:
-                    outcomes.append(
-                        ("ok", self.submit(item, _prelaunched=prelaunched))
-                    )
-                except ReplayError as error:
-                    outcomes.append(("replay", str(error)))
-                except ServiceError as error:
-                    outcomes.append(("invalid", str(error)))
-        finally:
-            self._drain(prelaunched)
+                outcomes.append(("invalid", str(error)))
         return outcomes
-
-    def _prelaunch(self, admitted: list[_Admitted]) -> dict[str, Any]:
-        """Launch distinct, uncached, unspent cold bodies on the pool."""
-        prelaunched: dict[str, Any] = {}
-        if self._pool is None:
-            return prelaunched
-        for item in admitted:
-            body_hash = item.body_hash
-            if (
-                body_hash in prelaunched
-                or self.cached(body_hash)
-                or self.nullifiers.seen(item.nullifier)
-            ):
-                continue
-            _metrics.inc("service.queue.enqueued")
-            with self._lock:
-                self.stats["enqueued"] += 1
-            prelaunched[body_hash] = self._pool.submit(item.decoded(), item.payload)
-        return prelaunched
-
-    def _drain(self, prelaunched: dict[str, Any]) -> None:
-        """Collect leftover futures so queue counters always balance.
-
-        A mid-batch raise (e.g. a replayed nullifier in
-        :meth:`submit_many`) must not strand launched work.
-        """
-        for future in prelaunched.values():
-            try:
-                self._collect(future)
-            except Exception:
-                pass
-
-    def _collect(self, future) -> dict[str, Any]:
-        try:
-            return future.result()
-        finally:
-            _metrics.inc("service.queue.completed")
-            with self._lock:
-                self.stats["completed"] += 1
 
     def _store(self, body_hash: str, result: CertificationResult) -> None:
         with self._lock:

@@ -26,9 +26,19 @@ import time
 import pytest
 
 from repro.errors import ReplayError, ServiceError, ServiceUnavailableError
+from repro.obs import metrics as obs
 from repro.service import CertificationService, build_envelope
 from repro.service.client import CertifyClient
 from repro.service.httpd import make_server
+
+
+#: ``CertificationService.stats`` key -> the obs counter it mirrors.
+_STAT_COUNTERS = {
+    "submitted": "service.submit",
+    "cache_hits": "service.cache.hit",
+    "cache_misses": "service.cache.miss",
+    "replays_rejected": "service.nullifier.rejected",
+}
 
 
 @contextlib.contextmanager
@@ -172,6 +182,9 @@ class TestSerialConcurrentEquivalence:
 
         service = CertificationService()
         barrier = threading.Barrier(n_threads)
+        before = {
+            name: obs.counter_total(name) for name in _STAT_COUNTERS.values()
+        }
         with _serving(service, max_inflight=8) as (server, url):
             _run_threads([
                 (make_single_worker if index % 2 else make_batch_worker)(
@@ -213,37 +226,11 @@ class TestSerialConcurrentEquivalence:
             stats["cache_hits"] + stats["cache_misses"]
             == stats["submitted"] - stats["replays_rejected"]
         )
-        assert stats["enqueued"] == stats["completed"]
-
-    def test_conservation_holds_with_worker_pool(self):
-        # the sharded pool path: prelaunched batch work must drain
-        # (enqueued == completed) even when threads race the pool
-        envelopes = [
-            build_envelope("bipartite", n=8, seed=41),
-            build_envelope("leader", n=10, seed=42),
-            build_envelope("spanning-tree-ptr", n=12, seed=43),
-            build_envelope("bipartite", n=9, seed=44, corrupt=2),
-        ]
-        service = CertificationService(workers=2)
-        with _serving(service, max_inflight=8) as (server, url):
-            def make_worker(chunk, url):
-                def worker():
-                    with CertifyClient(url) as client:
-                        for outcome in client.submit_many(chunk):
-                            assert not isinstance(outcome, ServiceError)
-
-                return worker
-
-            _run_threads([
-                make_worker(envelopes[:2], url),
-                make_worker(envelopes[2:], url),
-            ])
-            with CertifyClient(url) as client:
-                stats = client.metrics()["stats"]
-            assert not server.errors
-        assert stats["submitted"] == len(envelopes)
-        assert stats["cache_hits"] + stats["cache_misses"] == len(envelopes)
-        assert stats["enqueued"] == stats["completed"]
+        # each stats key is the root-ledger delta of its obs counter
+        assert stats == {
+            key: obs.counter_total(name) - before[name]
+            for key, name in _STAT_COUNTERS.items()
+        }
 
 
 class _BlockingService(CertificationService):
@@ -254,10 +241,10 @@ class _BlockingService(CertificationService):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def submit(self, envelope, _prelaunched=None):
+    def submit(self, envelope):
         self.entered.set()
         assert self.release.wait(timeout=30), "blocking service never released"
-        return super().submit(envelope, _prelaunched=_prelaunched)
+        return super().submit(envelope)
 
 
 class TestBackpressure:

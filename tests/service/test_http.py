@@ -49,6 +49,12 @@ def _post(url, payload: bytes):
         return error.code, json.load(error)
 
 
+@pytest.mark.parametrize("timeout", [-1, 0])
+def test_make_server_refuses_a_non_positive_request_timeout(timeout):
+    with pytest.raises(ValueError, match="request_timeout"):
+        make_server(port=0, request_timeout=timeout)
+
+
 class TestRoutes:
     def test_healthz(self, server_url):
         status, body = _get(server_url + "/healthz")
@@ -339,16 +345,6 @@ class TestLabelingMustFitTheDeclaredGraph:
             service.close()
         assert time.perf_counter() - start < 0.2
         assert str(parsed.value) == str(submitted.value) == self.MESSAGE
-
-    def test_the_graph_cache_path_checks_too(self):
-        from repro.errors import EnvelopeError
-        from repro.graphs.generators import path_graph
-        from repro.service.envelope import ProofEnvelope
-
-        envelope = build_envelope("leader", n=3, honest_certificates=False)
-        cache = {envelope.graph_hash: path_graph(5)}
-        with pytest.raises(EnvelopeError, match=self.MESSAGE):
-            ProofEnvelope.from_obj(envelope.to_obj(), graph_cache=cache)
 
     def test_certify_replies_400(self, served):
         url, server = served

@@ -4,8 +4,8 @@ The headline property is registry-wide: for every catalog scheme, a
 served verdict (through envelope serialization, parsing, deterministic
 rebuild, and ``scheme.run``) equals the per-node oracle ``decide()``
 verdict node-for-node — honest and corrupted labelings alike.  Around
-it: cache semantics, replay rejection, parameter validation, and the
-sharded worker pool.
+it: cache semantics, replay rejection, batch settling, and parameter
+validation.
 """
 
 from __future__ import annotations
@@ -161,6 +161,17 @@ class TestSettledBatch:
         for (_, result), envelope in zip(outcomes[::2], good):
             assert result.accepted == _in_process_verdict(envelope).all_accept
 
+    def test_repeated_body_is_decoded_once(self):
+        service = CertificationService()
+        envelope = build_envelope("spanning-tree-ptr", n=16, seed=7)
+        a = envelope.with_nonce("a").to_bytes()
+        b = envelope.with_nonce("b").to_bytes()
+        with obs.collect("t") as metrics:
+            outcomes = service.submit_settled([a, b])
+        assert metrics.counter("service.envelope.decoded") == 1
+        assert [kind for kind, _ in outcomes] == ["ok", "ok"]
+        assert not outcomes[0][1].cache_hit and outcomes[1][1].cache_hit
+
 
 class TestValidation:
     def test_unknown_scheme_rejected(self):
@@ -219,38 +230,3 @@ class TestResultWireForm:
         assert back.accepted == result.accepted
         assert back.rejecting == result.rejecting
         assert back.body_hash == result.body_hash
-
-
-class TestShardedPool:
-    def test_pool_matches_in_process(self):
-        envelopes = [
-            build_envelope("spanning-tree-ptr", n=16, seed=s) for s in range(3)
-        ] + [build_envelope("bipartite", n=8, seed=9, corrupt=2)]
-        inline = [CertificationService().submit(e) for e in envelopes]
-        with CertificationService(workers=2) as service:
-            pooled = service.submit_many(
-                [e.with_nonce(f"pool-{i}") for i, e in enumerate(envelopes)]
-            )
-            assert [r.accepted for r in pooled] == [
-                r.accepted for r in inline
-            ]
-            assert [r.rejecting for r in pooled] == [
-                r.rejecting for r in inline
-            ]
-            # Resubmission under fresh nonces: all cache hits, queue idle.
-            again = service.submit_many(
-                [e.with_nonce(f"again-{i}") for i, e in enumerate(envelopes)]
-            )
-            assert all(r.cache_hit for r in again)
-            stats = service.metrics()
-            assert stats["queue_depth"] == 0
-            assert stats["stats"]["enqueued"] == len(envelopes)
-
-    def test_shard_affinity_is_stable(self):
-        with CertificationService(workers=3) as service:
-            envelope = build_envelope("bipartite", n=8, seed=10)
-            shard = service._pool.shard_of(envelope)
-            for nonce in ("a", "b", "c"):
-                assert (
-                    service._pool.shard_of(envelope.with_nonce(nonce)) == shard
-                )

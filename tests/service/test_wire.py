@@ -186,30 +186,6 @@ class TestResubmission:
         with pytest.raises(EnvelopeError, match="content-hash binding"):
             service.submit(obj)
 
-    def test_pool_forwards_the_received_bytes(self, monkeypatch):
-        envelope = build_envelope("spanning-tree-ptr", n=16, seed=6, corrupt=2)
-        payload = envelope.to_bytes()
-        expected = CertificationService().submit(envelope)
-        calls = []
-        original = ProofEnvelope.to_bytes
-
-        def spy(self):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(ProofEnvelope, "to_bytes", spy)
-        with CertificationService(workers=1) as service:
-            served = service.submit(payload)
-            batch = service.submit_many([envelope.with_nonce("b").to_obj()])
-        assert calls == []
-        assert not served.cache_hit
-        assert (served.accepted, served.rejecting, served.body_hash) == (
-            expected.accepted,
-            expected.rejecting,
-            expected.body_hash,
-        )
-        assert batch[0].cache_hit
-
 
 # ---------------------------------------------------------------------------
 # The columnar graph parse.

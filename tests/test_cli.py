@@ -450,6 +450,28 @@ class TestServiceCommands:
             server.server_close()
             service.close()
 
+    @pytest.mark.parametrize("setting", [
+        ["--cache-size", "0"],
+        ["--max-inflight", "0"],
+        ["--request-timeout", "-1"],
+        ["--request-timeout", "0"],
+    ])
+    def test_serve_refuses_bad_settings_before_binding(
+        self, setting, capsys, monkeypatch
+    ):
+        from repro.service.httpd import CertifyHTTPServer
+
+        def bind(server):
+            raise AssertionError("serve bound a port")
+
+        monkeypatch.setattr(CertifyHTTPServer, "server_bind", bind)
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--port", "0", *setting])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: error: ")
+        assert err.count("\n") == 1
+
     def test_submit_unreachable_server_exits(self, tmp_path):
         out = tmp_path / "env.json"
         assert main(["make-envelope", "bipartite", "--n", "6",
