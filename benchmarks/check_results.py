@@ -76,7 +76,8 @@ SERVICE_MIN_LARGEST_N = 100_000
 SERVICE_COLD_CEILING_S = 20.0
 #: ...the cached side under the size-independent O(1) ceiling...
 SERVICE_CACHED_CEILING_S = 0.05
-#: ...and the wire resubmission (O(body bytes), no decode) under its own.
+#: ...and the wire resubmission (no decode, no JSON load once indexed)
+#: under its own.
 SERVICE_WIRE_CACHED_CEILING_S = 5.0
 
 #: Concurrency ceiling snapshot (see ``benchmarks/bench_concurrency.py``).

@@ -34,15 +34,22 @@ corrupted-labeling and adversarial workflows.
 Wire bodies are loaded once into a :class:`WireBody`, which hashes each
 raw part as loaded — a C-level JSON dump plus SHA-256, no decode and no
 per-node Python — into the body hash it would decode to.  A resubmitted
-body is therefore looked up in the verdict cache in O(body bytes)
-without being decoded; O(1) over the wire needs parts sent by
-reference.  Only a body that has to be decided is decoded, from the
-already loaded object, and a raw part hash doubles as the decoded one
-wherever the part is provably in canonical form.
+body is therefore looked up in the verdict cache without being decoded.
+Only a body that has to be decided is decoded, from the already loaded
+object, and a raw part hash doubles as the decoded one wherever the
+part is provably in canonical form.
+
+A body in canonical form (byte for byte ``to_bytes()``) resubmitted
+under a fresh nonce costs less still: :func:`wire_key` hashes its bytes
+with the nonce value cut out — one SHA-256 over the body, no JSON load —
+and the service maps that key to the body hash once it has loaded and
+hashed the same bytes under another nonce.  O(1) over the wire needs
+parts sent by reference.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import operator
 import threading
@@ -94,12 +101,56 @@ CERTS_HASH_DOMAIN = "PLS_CERTS/v1"
 #: Domain tag for anti-replay nullifiers (body hash + nonce).
 NULLIFIER_DOMAIN = "PLS_NULLIFIER/v1"
 
+#: The end of :data:`_ENVELOPE_TEMPLATE`, after the nonce value.
+_ENVELOPE_TAIL = b',"params":%s,"scheme":%s}'
+
 #: ``canonical_bytes(envelope.to_obj())`` with each value left out: the
 #: keys in sorted order, as ``canonical_bytes`` writes them.
 _ENVELOPE_TEMPLATE = (
     b'{"certificates":%s,"format":%s,"graph":%s,"graph_hash":%s,'
-    b'"labeling":%s,"nonce":%s,"params":%s,"scheme":%s}'
+    b'"labeling":%s,"nonce":%s' + _ENVELOPE_TAIL
 )
+
+#: The keys of a wire envelope object.
+_ENVELOPE_KEYS = frozenset(
+    "certificates format graph graph_hash labeling nonce params scheme".split()
+)
+
+#: What :func:`wire_key` looks for: the opening of a string nonce field.
+_NONCE_FIELD = b'"nonce":"'
+
+#: Bytes a nonce value may hold for :func:`wire_key`: the characters
+#: ``canonical_bytes`` writes as themselves (printable ASCII other than
+#: ``"`` and ``\``), so the bytes are the nonce.
+_PLAIN_NONCE_BYTES = bytes(sorted(set(range(0x20, 0x7F)) - set(b'"\\')))
+
+
+def wire_key(payload: bytes) -> tuple[bytes, int, str] | None:
+    """The nonce-free key of wire bytes, without loading them.
+
+    Finds the first ``"nonce":"`` in ``payload`` and takes the value up
+    to the next ``"``; returns ``(key, value offset, nonce)``, where the
+    key is a SHA-256 over the bytes around that value, or ``None`` when
+    there is no such field or the value is not plain printable ASCII.
+    Two bodies share a key iff they differ at most in that value, so a
+    key recorded for a body the service loaded and found canonical
+    names its body hash for every other plain nonce.
+    """
+    start = payload.find(_NONCE_FIELD)
+    if start < 0:
+        return None
+    start += len(_NONCE_FIELD)
+    end = payload.find(b'"', start)
+    if end < 0:
+        return None
+    nonce = payload[start:end]
+    if nonce.translate(None, _PLAIN_NONCE_BYTES):
+        return None
+    view = memoryview(payload)
+    digest = hashlib.sha256(b"PLS_WIRE_KEY/v1\x00%d\x00" % start)
+    digest.update(view[:start])
+    digest.update(view[end:])
+    return digest.digest(), start, nonce.decode("ascii")
 
 
 def _ascending_nodes(pairs: list) -> bool:
@@ -331,10 +382,13 @@ class WireBody:
         #: part -> (raw part hash or ``None`` when the part has no
         #: canonical bytes, whether those bytes hold no JSON object).
         self._parts: dict[str, tuple[str | None, bool]] = {}
+        #: part -> its canonical bytes, as hashed.
+        self._dumps: dict[str, bytes] = {}
 
     @classmethod
     def load(cls, payload: bytes | str) -> "WireBody":
         """Load JSON wire bytes (refused as an :class:`EnvelopeError`)."""
+        _metrics.inc("service.envelope.loaded")
         try:
             return cls(json.loads(payload))
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
@@ -356,8 +410,51 @@ class WireBody:
                     cached = (None, False)
                 else:
                     cached = (domain_hash(domain, payload), b"{" not in payload)
+                    self._dumps[part] = payload
             self._parts[part] = cached
         return cached
+
+    def canonical_nonce_at(self, payload: bytes) -> int | None:
+        """Where the nonce value starts in ``payload``, if ``payload`` is
+        byte for byte the canonical rendering of this loaded object.
+
+        ``None`` unless the object has exactly the envelope keys and
+        ``payload`` equals :data:`_ENVELOPE_TEMPLATE` filled from the
+        part dumps :attr:`body_hash` made, so the check costs a byte
+        comparison, not a second dump.
+        """
+        obj = self.obj
+        if (
+            not isinstance(obj, dict)
+            or obj.keys() != _ENVELOPE_KEYS
+            or not isinstance(obj["nonce"], str)
+        ):
+            return None
+        dumps = self._dumps
+        certificates = b"null" if obj["certificates"] is None else dumps.get("certs")
+        if certificates is None or not {"graph", "labeling"} <= dumps.keys():
+            return None
+        try:
+            version, graph_hash, nonce, params, scheme = (
+                canonical_bytes(obj[key])
+                for key in ("format", "graph_hash", "nonce", "params", "scheme")
+            )
+        except (CanonicalError, RecursionError):
+            return None
+        tail = _ENVELOPE_TAIL % (params, scheme)
+        rendered = _ENVELOPE_TEMPLATE % (
+            certificates,
+            version,
+            dumps["graph"],
+            graph_hash,
+            dumps["labeling"],
+            nonce,
+            params,
+            scheme,
+        )
+        if payload != rendered:
+            return None
+        return len(payload) - len(tail) - len(nonce) + 1
 
     def part_hash(self, part: str) -> str | None:
         """The raw ``graph``/``labeling``/``certs`` part's hash."""

@@ -19,10 +19,12 @@ returns a structured :class:`CertificationResult`:
    certificates hash), so a hot configuration resubmitted under a fresh
    nonce is served with zero decider work (``service.cache.hit`` vs
    ``service.cache.miss``): O(1) for an in-process
-   :meth:`~repro.service.envelope.ProofEnvelope.with_nonce` copy, and
-   O(body bytes) of C-level JSON load and dump plus SHA-256 for wire
-   bytes, which are hashed from the loaded JSON and not decoded (see
-   :class:`~repro.service.envelope.WireBody`).
+   :meth:`~repro.service.envelope.ProofEnvelope.with_nonce` copy.  Wire
+   bytes in canonical form that differ from a body already loaded only
+   in the nonce cost one SHA-256 over the body and no JSON load (the
+   wire-key index, :func:`~repro.service.envelope.wire_key`); other
+   wire bodies are loaded and hashed from the loaded JSON, not decoded
+   (see :class:`~repro.service.envelope.WireBody`).
 4. **Decide** — cold misses build the scheme through
    :func:`repro.core.catalog.build` (rng seeded deterministically from
    the body hash, so served verdicts are reproducible bit-for-bit),
@@ -38,7 +40,8 @@ batch entry point) may be called from many threads at once — the
 threaded HTTP front end does exactly that.  Two locks are involved,
 with a strict ordering (see docs/ARCHITECTURE.md, "Threading model"):
 
-* ``self._lock`` guards the stats dict and the verdict LRU;
+* ``self._lock`` guards the stats dict, the verdict LRU and the
+  wire-key index;
 * the :class:`~repro.service.envelope.NullifierRegistry` has its own
   internal lock, making each ``spend`` atomic — concurrent submissions
   of one replayed nullifier admit exactly one winner.
@@ -74,7 +77,13 @@ from repro.errors import (
 )
 from repro.graphs.graph import Graph
 from repro.obs import metrics as _metrics
-from repro.service.envelope import NullifierRegistry, ProofEnvelope, WireBody
+from repro.service.envelope import (
+    NullifierRegistry,
+    ProofEnvelope,
+    WireBody,
+    _nullifier,
+    wire_key,
+)
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -212,18 +221,25 @@ def _execute(envelope: ProofEnvelope, timings: dict[str, float]) -> dict[str, An
 
 @dataclass
 class _Admitted:
-    """One submission, hashed: decoded unless its wire body hash named a
-    cached verdict when it arrived."""
+    """One submission, hashed: decoded unless its wire key or wire body
+    hash named a cached verdict when it arrived."""
 
     body_hash: str
     nullifier: str
     envelope: ProofEnvelope | None = None
     wire: WireBody | None = None
+    #: The wire bytes, when the wire-key index answered without a load.
+    payload: bytes | None = None
+    #: The wire key to index ``body_hash`` under once its verdict is
+    #: cached: set only for a loaded body in canonical form.
+    wire_key: bytes | None = None
 
     def decoded(self) -> ProofEnvelope:
         if self.envelope is None:
-            self.envelope = self.wire.decode()
-            self.wire = None  # the loaded object is not needed any more
+            wire = self.wire or WireBody.load(self.payload)
+            self.envelope = wire.decode()
+            # The bytes and the loaded object are not needed any more.
+            self.wire = self.payload = None
         return self.envelope
 
 
@@ -249,13 +265,22 @@ class CertificationService:
         self.cache_size = cache_size
         self.nullifiers = NullifierRegistry(nullifier_capacity)
         self._cache: "OrderedDict[str, CertificationResult]" = OrderedDict()
+        #: The wire-key index: wire key -> body hash of a cached verdict,
+        #: and back; at most one key per verdict, dropped on eviction.
+        self._wire_keys: dict[bytes, str] = {}
+        self._wire_key_of: dict[str, bytes] = {}
         self._lock = Lock()
         #: Service-lifetime tallies (also charged to the obs ledger).
+        #: Each ``submitted`` call lands in exactly one of ``refused`` (an
+        #: envelope refused before the cache lookup), ``replays_rejected``,
+        #: ``cache_hits`` and ``cache_misses``; a submission refused at
+        #: validate or build has already counted as a miss.
         self.stats: dict[str, int] = {
             "submitted": 0,
             "cache_hits": 0,
             "cache_misses": 0,
             "replays_rejected": 0,
+            "refused": 0,
         }
 
     # -- lifecycle -----------------------------------------------------------
@@ -294,28 +319,48 @@ class CertificationService:
     # -- submission ----------------------------------------------------------
 
     def _admit(self, envelope: Any) -> _Admitted:
-        """Hash a submission; decode a wire body only if its raw body
-        hash does not name a cached verdict (see
+        """Hash a submission without loading wire bytes whose wire key is
+        indexed; decode a wire body only if its raw body hash does not
+        name a cached verdict (see
         :class:`~repro.service.envelope.WireBody`)."""
         if isinstance(envelope, ProofEnvelope):
             return _Admitted(envelope.body_hash, envelope.nullifier, envelope)
+        probe = wire_key(envelope) if isinstance(envelope, bytes) else None
+        if probe is not None:
+            key, nonce_at, nonce = probe
+            with self._lock:
+                body_hash = self._wire_keys.get(key)
+            if body_hash is not None:
+                return _Admitted(
+                    body_hash, _nullifier(body_hash, nonce), payload=envelope
+                )
         if isinstance(envelope, (bytes, str)):
             wire = WireBody.load(envelope)
         else:
             wire = WireBody(envelope)
         body_hash = wire.body_hash
+        # Only bytes that render this hashed object canonically, with
+        # the nonce where the key cut it, are ever indexed.
+        if (
+            probe is None
+            or body_hash is None
+            or wire.canonical_nonce_at(envelope) != nonce_at
+        ):
+            key = None
         if body_hash is not None and self.cached(body_hash):
-            return _Admitted(body_hash, wire.nullifier, wire=wire)
+            return _Admitted(body_hash, wire.nullifier, wire=wire, wire_key=key)
         parsed = wire.decode()
-        return _Admitted(parsed.body_hash, parsed.nullifier, parsed)
+        return _Admitted(parsed.body_hash, parsed.nullifier, parsed, wire_key=key)
 
     def submit(self, envelope: Any) -> CertificationResult:
         """Certify one envelope (wire bytes, wire object, or instance).
 
-        Wire input is loaded once; a body whose raw hash names a cached
-        verdict is answered, after its nullifier is spent, without
-        being decoded.  Raises :class:`~repro.errors.ReplayError` on a
-        spent nullifier and :class:`~repro.errors.ServiceError` (or its
+        Wire bytes whose wire key is indexed are not loaded at all;
+        other wire input is loaded once, and a body whose raw hash names
+        a cached verdict is answered, after its nullifier is spent,
+        without being decoded.  Raises
+        :class:`~repro.errors.ReplayError` on a spent nullifier and
+        :class:`~repro.errors.ServiceError` (or its
         :class:`~repro.errors.EnvelopeError` subclass) on invalid
         submissions; every other path returns a
         :class:`CertificationResult`.
@@ -326,7 +371,13 @@ class CertificationService:
         with self._lock:
             self.stats["submitted"] += 1
         with _stage(timings, "parse"):
-            admitted = self._admit(envelope)
+            try:
+                admitted = self._admit(envelope)
+            except EnvelopeError:
+                _metrics.inc("service.refused")
+                with self._lock:
+                    self.stats["refused"] += 1
+                raise
             body_hash = admitted.body_hash
             nullifier = admitted.nullifier
         try:
@@ -341,6 +392,8 @@ class CertificationService:
             if hit is not None:
                 self._cache.move_to_end(body_hash)
                 self.stats["cache_hits"] += 1
+                if admitted.wire_key is not None:
+                    self._index(admitted.wire_key, body_hash)
         if hit is not None:
             _metrics.inc("service.cache.hit")
             return replace(
@@ -358,7 +411,7 @@ class CertificationService:
             nullifier=nullifier,
             timings=timings,
         )
-        self._store(body_hash, result)
+        self._store(body_hash, result, admitted.wire_key)
         return result
 
     def submit_settled(
@@ -390,12 +443,27 @@ class CertificationService:
                 outcomes.append(("invalid", str(error)))
         return outcomes
 
-    def _store(self, body_hash: str, result: CertificationResult) -> None:
+    def _store(
+        self, body_hash: str, result: CertificationResult, wire_key: bytes | None
+    ) -> None:
         with self._lock:
             self._cache[body_hash] = result
             self._cache.move_to_end(body_hash)
+            if wire_key is not None:
+                self._index(wire_key, body_hash)
             while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
+                evicted, _ = self._cache.popitem(last=False)
+                key = self._wire_key_of.pop(evicted, None)
+                if key is not None:
+                    del self._wire_keys[key]
+
+    def _index(self, wire_key: bytes, body_hash: str) -> None:
+        """Index a cached verdict under a wire key (``self._lock`` held)."""
+        old = self._wire_key_of.get(body_hash)
+        if old is not None:
+            del self._wire_keys[old]
+        self._wire_key_of[body_hash] = wire_key
+        self._wire_keys[wire_key] = body_hash
 
 
 # ---------------------------------------------------------------------------

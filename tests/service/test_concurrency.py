@@ -20,6 +20,7 @@ import json
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -38,6 +39,7 @@ _STAT_COUNTERS = {
     "cache_hits": "service.cache.hit",
     "cache_misses": "service.cache.miss",
     "replays_rejected": "service.nullifier.rejected",
+    "refused": "service.refused",
 }
 
 
@@ -231,6 +233,51 @@ class TestSerialConcurrentEquivalence:
             key: obs.counter_total(name) - before[name]
             for key, name in _STAT_COUNTERS.items()
         }
+
+
+class TestWireKeyIndexUnderThreads:
+    def test_resubmits_and_evictions_keep_one_key_per_verdict(self):
+        """Threads resubmit canonical bytes under fresh nonces into a
+        cache smaller than the set of bodies, so index lookups, fills
+        and evictions interleave: every verdict and nullifier is the
+        serial one, and the index keys exactly the cached verdicts."""
+        names = ("leader", "bipartite", "spanning-tree-ptr", "bfs-tree")
+        bodies = [
+            build_envelope(name, n=10, seed=60 + index, corrupt=index % 2)
+            for index, name in enumerate(names * 2)
+        ]
+        expected = {
+            envelope.body_hash: _verdict(CertificationService().submit(envelope))
+            for envelope in bodies
+        }
+        service = CertificationService(cache_size=3)
+        served = []
+
+        def worker(index):
+            def run():
+                rng = random.Random(index)
+                for step in range(40):
+                    envelope = rng.choice(bodies).with_nonce(f"{index}-{step}")
+                    served.append((envelope, service.submit(envelope.to_bytes())))
+
+            return run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads([worker(index) for index in range(6)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(served) == 240
+        for envelope, result in served:
+            assert _verdict(result) == expected[envelope.body_hash]
+            assert result.nullifier == envelope.nullifier
+        stats = service.stats
+        assert stats["cache_hits"] + stats["cache_misses"] == 240
+        assert stats["cache_hits"] > 0
+        with service._lock:
+            assert set(service._wire_key_of) == set(service._wire_keys.values())
+            assert set(service._wire_key_of) <= set(service._cache)
 
 
 class _BlockingService(CertificationService):

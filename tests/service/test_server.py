@@ -172,6 +172,21 @@ class TestSettledBatch:
         assert [kind for kind, _ in outcomes] == ["ok", "ok"]
         assert not outcomes[0][1].cache_hit and outcomes[1][1].cache_hit
 
+    def test_refused_bodies_balance_the_stats(self):
+        service = CertificationService()
+        good = build_envelope("bipartite", n=8, seed=6).to_bytes()
+        with obs.collect("t") as metrics:
+            outcomes = service.submit_settled([b"not json", good, {"format": "x"}])
+        assert [kind for kind, _ in outcomes] == ["invalid", "ok", "invalid"]
+        assert service.stats == {
+            "submitted": 3,
+            "cache_hits": 0,
+            "cache_misses": 1,
+            "replays_rejected": 0,
+            "refused": 2,
+        }
+        assert metrics.counter("service.refused") == 2
+
 
 class TestValidation:
     def test_unknown_scheme_rejected(self):
@@ -201,6 +216,9 @@ class TestValidation:
         obj["params"] = encode_value({"bogus": 1})
         with pytest.raises(ServiceError, match="bogus"):
             service.submit(obj)
+        # Refused at validate, after the cache lookup: a miss.
+        assert service.stats["cache_misses"] == 1
+        assert service.stats["refused"] == 0
 
     def test_labeling_graph_mismatch_rejected(self):
         service = CertificationService()

@@ -5,7 +5,10 @@ without decoding them.  These tests pin what makes that sound: the raw
 body hash of every canonical body equals the decoded one, a
 non-canonical body is served exactly like its canonical twin, a
 resubmitted body is served from the cache with no decode at all, and
-the replay and graph-hash checks hold on both paths.
+the replay and graph-hash checks hold on both paths.  The wire-key
+index serves canonical bytes under a fresh nonce with no JSON load at
+all; its tests compare every outcome with a service that cached the
+same verdict from an in-process envelope, which never fills the index.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import catalog
 from repro.core.labeling import Labeling
@@ -22,7 +27,7 @@ from repro.graphs.serialize import graph_from_obj, graph_to_obj, parse_graph_obj
 from repro.obs import metrics as obs
 from repro.service import CertificationService, ProofEnvelope, build_envelope
 from repro.service import envelope as envelope_module
-from repro.service.envelope import WireBody
+from repro.service.envelope import WireBody, wire_key
 from repro.util.canonical import canonical_bytes
 
 
@@ -127,6 +132,20 @@ class TestNonCanonicalBodies:
             with obs.collect("t") as metrics:
                 hot = service.submit(envelope.with_nonce("fresh").to_bytes())
         assert hot.cache_hit and hot.accepted == cold.accepted
+        # The padded cold body was not indexed: the resubmit took the
+        # load-and-hash path, which indexes it from now on.
+        assert metrics.counter("service.envelope.loaded") == 1
+        assert metrics.counter("service.envelope.decoded") == 0
+
+    def test_dict_body_hits_without_a_decode(self):
+        envelope = build_envelope("bipartite", n=12, seed=4)
+        with CertificationService() as service:
+            cold = service.submit(envelope.to_bytes())
+            with obs.collect("t") as metrics:
+                hot = service.submit(envelope.with_nonce("dict").to_obj())
+        assert hot.cache_hit and hot.body_hash == cold.body_hash
+        assert hot.nullifier == envelope.with_nonce("dict").nullifier
+        assert metrics.counter("service.envelope.loaded") == 0
         assert metrics.counter("service.envelope.decoded") == 0
 
 
@@ -252,3 +271,257 @@ class TestColumnarGraphParse:
             assert not canonical and back == graph
         weighted = graph_to_obj(graph.with_weights({e: 1.0 for e in graph.edges()}))
         assert parse_graph_obj(weighted)[1] is False
+
+
+# ---------------------------------------------------------------------------
+# The wire-key index: canonical bytes under a fresh nonce, never loaded.
+# ---------------------------------------------------------------------------
+
+#: The body every index test resubmits (corrupted, so a verdict that
+#: rejects some nodes is what has to come back).
+INDEXED = build_envelope("spanning-tree-ptr", n=12, seed=9, corrupt=2)
+
+
+def _oracle() -> CertificationService:
+    """A service holding the verdict, cached from an in-process envelope
+    (which fills no wire key)."""
+    service = CertificationService()
+    service.submit(INDEXED)
+    return service
+
+
+def _indexed(envelope: ProofEnvelope = INDEXED) -> CertificationService:
+    """A service holding the verdict, cached from canonical bytes (which
+    fill the wire key)."""
+    service = CertificationService()
+    service.submit(envelope.to_bytes())
+    return service
+
+
+def _outcome(service: CertificationService, payload):
+    try:
+        result = service.submit(payload)
+    except Exception as error:
+        return type(error)
+    return (result.accepted, result.rejections, result.body_hash, result.nullifier)
+
+
+def _counted(service: CertificationService, payload):
+    """``(outcome, JSON loads, decodes)`` of one submission."""
+    with obs.collect("t") as metrics:
+        outcome = _outcome(service, payload)
+    return (
+        outcome,
+        metrics.counter("service.envelope.loaded"),
+        metrics.counter("service.envelope.decoded"),
+    )
+
+
+def _renamed_nonce(payload: bytes, field: bytes) -> bytes:
+    """``payload`` with its one ``"nonce":"real"`` field replaced."""
+    assert payload.count(b'"nonce":"real"') == 1
+    return payload.replace(b'"nonce":"real"', field)
+
+
+class TestWireKey:
+    def test_plain_nonces_share_a_key(self):
+        a = wire_key(INDEXED.with_nonce("a").to_bytes())
+        b = wire_key(INDEXED.with_nonce("some other nonce").to_bytes())
+        assert a[0] == b[0] and a[1] == b[1]
+        assert (a[2], b[2]) == ("a", "some other nonce")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"{}", b'{"nonce":1}', b'{"nonce":"open', b'{"nonce":"a\\u00e9"}'],
+        ids=["no-field", "not-a-string", "unterminated", "escape"],
+    )
+    def test_no_key(self, payload):
+        assert wire_key(payload) is None
+
+
+class TestWireKeyIndex:
+    def test_canonical_resubmit_loads_nothing(self):
+        oracle, service = _oracle(), _indexed()
+        payload = INDEXED.with_nonce("fresh").to_bytes()
+        outcome, loaded, decoded = _counted(service, payload)
+        assert (loaded, decoded) == (0, 0)
+        assert outcome == _outcome(oracle, payload)
+        assert outcome[2:] == (INDEXED.body_hash, INDEXED.with_nonce("fresh").nullifier)
+        assert service.stats["cache_hits"] == 1
+        # The same bytes again are a replay, still without a load.
+        assert _counted(service, payload) == (ReplayError, 0, 0)
+        assert _outcome(oracle, payload) is ReplayError
+
+    def test_decoy_nonce_is_never_indexed(self):
+        canonical = INDEXED.with_nonce("real").to_bytes()
+        escaped = _renamed_nonce(canonical, b'"nonc\\u0065":"real"')
+
+        def decoy(value: bytes) -> bytes:
+            return b'{"aaa":{"nonce":"%s"},%s' % (value, escaped[1:])
+
+        assert wire_key(decoy(b"x"))[2] == "x"
+        oracle, service = _oracle(), _indexed()
+        for payload in (decoy(b"x"), decoy(b"y")):
+            outcome, loaded, _ = _counted(service, payload)
+            assert loaded == 1
+            assert outcome == _outcome(oracle, payload)
+        # Both decoys carry the nonce "real": the second is a replay.
+        assert outcome is ReplayError
+        assert service.stats["replays_rejected"] == 1
+
+    def test_decoy_inside_a_canonical_part_is_not_the_key(self):
+        """A tagged wrapper may carry extra keys, so a body can be in
+        canonical form with an earlier ``"nonce":"`` than its own."""
+
+        def decoy(value: str) -> bytes:
+            obj = INDEXED.with_nonce("real").to_obj()
+            obj["certificates"][0][1] = {"__pls__": "set", "nonce": value, "v": []}
+            return canonical_bytes(obj)
+
+        assert wire_key(decoy("x"))[2] == "x"
+        oracle, service = _oracle(), _indexed()
+        first = _outcome(service, decoy("x"))
+        assert first == _outcome(oracle, decoy("x"))
+        assert first[:2] != (True, 0)  # a set is no certificate here
+        # The same certificates and nonce under another decoy value.
+        assert _counted(service, decoy("y")) == (ReplayError, 1, 1)
+        assert _outcome(oracle, decoy("y")) is ReplayError
+
+    @pytest.mark.parametrize(
+        "render",
+        [
+            lambda e: e.with_nonce("a\\b").to_bytes(),
+            lambda e: e.with_nonce("caf\u00e9").to_bytes(),
+            lambda e: _renamed_nonce(
+                e.with_nonce("real").to_bytes(), '"nonce":"caf\u00e9"'.encode()
+            ),
+            lambda e: json.dumps(e.with_nonce("real").to_obj(), indent=1).encode(),
+            lambda e: e.with_nonce("real").to_bytes() + b"\n",
+            lambda e: json.dumps(
+                dict(reversed(e.with_nonce("real").to_obj().items())),
+                separators=(",", ":"),
+            ).encode(),
+        ],
+        ids=["backslash", "escaped-utf8", "raw-utf8", "indent", "newline", "reordered"],
+    )
+    def test_other_bodies_are_loaded(self, render):
+        oracle, service = _oracle(), _indexed()
+        payload = render(INDEXED)
+        outcome, loaded, decoded = _counted(service, payload)
+        assert (loaded, decoded) == (1, 0)
+        assert outcome == _outcome(oracle, payload)
+        assert outcome[3] == ProofEnvelope.from_bytes(payload).nullifier
+
+    @pytest.mark.parametrize(
+        "render",
+        [
+            lambda e, nonce: e.with_nonce(nonce).to_bytes() + b"\n",
+            lambda e, nonce: json.dumps(
+                dict(reversed(e.with_nonce(nonce).to_obj().items())),
+                separators=(",", ":"),
+            ).encode(),
+        ],
+        ids=["newline", "reordered"],
+    )
+    def test_non_canonical_bytes_are_not_indexed(self, render):
+        service = CertificationService()
+        service.submit(render(INDEXED, "first"))
+        for nonce in ("second", "third"):
+            outcome, loaded, decoded = _counted(service, render(INDEXED, nonce))
+            assert (loaded, decoded) == (1, 0)
+            assert outcome[3] == INDEXED.with_nonce(nonce).nullifier
+
+    def test_missing_key_is_not_indexed(self):
+        marker = build_envelope("leader", n=10, seed=3, honest_certificates=False)
+        service = _indexed(marker)
+
+        def render(nonce: str) -> bytes:
+            obj = marker.with_nonce(nonce).to_obj()
+            del obj["certificates"]  # absent reads as None
+            return canonical_bytes(obj)
+
+        for nonce in ("first", "second"):
+            outcome, loaded, decoded = _counted(service, render(nonce))
+            assert (loaded, decoded) == (1, 0)
+            assert outcome[3] == marker.with_nonce(nonce).nullifier
+
+    def test_verdict_evicted_after_the_lookup(self):
+        other = build_envelope("leader", n=10, seed=2)
+        service = CertificationService(cache_size=1)
+        service.submit(INDEXED.to_bytes())
+
+        def admit_then_evict(payload):
+            del service._admit  # one shot: back to the method
+            admitted = service._admit(payload)
+            assert admitted.payload is payload  # answered by the index
+            service.submit(other)  # cache_size=1: evicts the verdict
+            return admitted
+
+        service._admit = admit_then_evict
+        payload = INDEXED.with_nonce("evicted").to_bytes()
+        with obs.collect("t") as metrics:
+            result = service.submit(payload)
+        assert not result.cache_hit
+        assert metrics.counter("service.envelope.loaded") == 1
+        assert metrics.counter("service.envelope.decoded") == 1
+        expected = _oracle().submit(INDEXED.with_nonce("evicted"))
+        assert (result.accepted, result.rejections, result.rejecting) == (
+            expected.accepted,
+            expected.rejections,
+            expected.rejecting,
+        )
+        assert (result.body_hash, result.nullifier) == (
+            expected.body_hash,
+            expected.nullifier,
+        )
+
+    def test_mixed_stream_loads_only_cold_bodies(self):
+        """Cold bodies then fresh-nonce resubmits, as HTTP clients send
+        them: one JSON load per cold body, none per resubmit."""
+        bodies = [
+            build_envelope(name, n=10, seed=seed, corrupt=seed % 2)
+            for seed, name in enumerate(("spanning-tree-ptr", "bfs-tree", "leader"))
+        ]
+        service = CertificationService()
+        with obs.collect("t") as metrics:
+            for index, envelope in enumerate(bodies):
+                service.submit(envelope.to_bytes())
+                for again, body in enumerate(bodies[: index + 1]):
+                    service.submit(body.with_nonce(f"{index}-{again}").to_bytes())
+        assert metrics.counter("service.envelope.loaded") == len(bodies)
+        assert metrics.counter("service.envelope.decoded") == len(bodies)
+        assert service.stats["cache_hits"] == 6
+
+    def test_one_key_per_cached_verdict(self):
+        service = CertificationService(cache_size=2)
+        for seed in range(5):
+            envelope = build_envelope("leader", n=10, seed=seed)
+            service.submit(envelope.to_bytes())
+            service.submit(envelope.with_nonce("again").to_bytes())
+            assert set(service._wire_keys.values()) == set(service._cache)
+        assert len(service._wire_keys) == 2
+
+
+_NONCE_AT = wire_key(INDEXED.to_bytes())[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nonce=st.text(max_size=6),
+    where=st.one_of(
+        st.none(),
+        st.integers(0, 2_000),
+        st.integers(_NONCE_AT - 12, _NONCE_AT + 12),
+    ),
+    byte=st.integers(0, 255),
+)
+def test_index_outcome_is_the_oracles(nonce, where, byte):
+    """A fresh nonce, then at most one changed byte: the indexed service
+    answers exactly as the oracle does, and so does the replay."""
+    payload = INDEXED.with_nonce(nonce).to_bytes()
+    if where is not None:
+        where %= len(payload)
+        payload = payload[:where] + bytes([byte]) + payload[where + 1 :]
+    oracle, service = _oracle(), _indexed()
+    for _ in range(2):
+        assert _outcome(service, payload) == _outcome(oracle, payload)
