@@ -37,8 +37,8 @@ points without writing Python:
   gate;
 * ``submit`` — POST envelope file(s) to a running server via the
   keep-alive :class:`~repro.service.client.CertifyClient` and print
-  the served verdict(s) as JSON; several files travel as one
-  ``/certify-batch`` round trip.
+  the served verdict(s) as JSON; several files go to ``/certify`` in
+  turn on one connection and print as one array, in file order.
 
 ``certify``, ``experiment``, ``selfstab-sweep`` and ``profile`` accept
 ``--trace out.jsonl``: the command runs inside an instrumentation scope
@@ -52,6 +52,7 @@ the CLI holds no registry of its own.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, Callable, Sequence
 
@@ -340,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "envelope",
         nargs="+",
-        help="wire-form envelope file(s); several files go out as one "
-        "/certify-batch round trip",
+        help="wire-form envelope file(s); several files print as one "
+        "JSON array, in file order",
     )
     submit.add_argument(
         "--url",
@@ -754,34 +755,14 @@ def _cmd_submit(args) -> int:
 
     payloads = _load_submit_payloads(args)
     url = args.url or f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
-    with CertifyClient(url) as client:
-        if len(payloads) == 1:
-            # Single file: /certify, verdict JSON on stdout.
-            # Exit 0 accepted, 1 rejected, 2 replay / unservable.
-            try:
-                result = client.submit(payloads[0])
-            except ReplayError as error:
-                print(json.dumps({"error": str(error), "replay": True},
-                                 indent=2))
-                return 2
-            except ServiceError as error:
-                print(json.dumps({"error": str(error)}, indent=2))
-                return 2
-            except OSError as error:
-                raise SystemExit(f"cannot reach {url}: {error}")
-            print(json.dumps(result.to_obj(), indent=2))
-            return 0 if result.accepted else 1
-        # Several files: one /certify-batch round trip; a JSON array of
-        # settled outcomes on stdout, in file order.  Exit 0 when every
-        # verdict accepted, 1 when any decided verdict rejected, 2 when
-        # any envelope errored (replay / unservable).
-        try:
+    # Every file goes to /certify in turn on one keep-alive connection.
+    # Exit 0 when every verdict accepted, 1 when any decided verdict
+    # rejected, 2 when any envelope errored (replay / unservable).
+    try:
+        with CertifyClient(url) as client:
             outcomes = client.submit_many(payloads)
-        except ServiceError as error:
-            print(json.dumps({"error": str(error)}, indent=2))
-            return 2
-        except OSError as error:
-            raise SystemExit(f"cannot reach {url}: {error}")
+    except OSError as error:
+        raise SystemExit(f"cannot reach {url}: {error}")
     rendered: list[dict] = []
     code = 0
     for outcome in outcomes:
@@ -795,8 +776,27 @@ def _cmd_submit(args) -> int:
             rendered.append(outcome.to_obj())
             if not outcome.accepted and code == 0:
                 code = 1
-    print(json.dumps(rendered, indent=2))
+    # One file prints its verdict object, several a JSON array.
+    text = json.dumps(rendered[0] if len(rendered) == 1 else rendered,
+                      indent=2)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader took what it wanted (``| grep -q``): the verdict
+        # still decides the exit code.
+        _quiet_stdout()
     return code
+
+
+def _quiet_stdout() -> None:
+    """Point stdout at the null device once its reader has gone.
+
+    The interpreter flushes stdout at exit; into a closed pipe that
+    flush would fail again and print ``Exception ignored``.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -816,12 +816,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     handler = handlers[args.command]
     trace = getattr(args, "trace", None)
-    if trace is not None and args.command != "profile":
-        # profile opens (and reports) its own scope; every other traced
-        # command runs inside one scope named after the command.
-        with _obs.collect(args.command, trace=trace):
-            return handler(args)
-    return handler(args)
+    try:
+        if trace is not None and args.command != "profile":
+            # profile opens (and reports) its own scope; every other
+            # traced command runs inside one scope named after it.
+            with _obs.collect(args.command, trace=trace):
+                code = handler(args)
+        else:
+            code = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader closed early (``| head``): exit 1, no traceback.
+        _quiet_stdout()
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -19,11 +19,12 @@ server's backpressure contract:
 * a dropped keep-alive connection (the server reaps idle ones at its
   read timeout) is re-dialled once per request, transparently.
 
-:meth:`CertifyClient.submit_many` posts a whole batch to
-``/certify-batch`` in one round trip and returns **settled outcomes**
-— one :class:`~repro.service.server.CertificationResult` *or* one
-typed exception instance per envelope, in order, errors as values so a
-mid-batch replay cannot hide the verdicts behind it.
+:meth:`CertifyClient.submit_many` posts many envelopes to
+``/certify`` in turn on that one connection and returns **settled
+outcomes** — one :class:`~repro.service.server.CertificationResult`
+*or* one typed exception instance per envelope, in order, errors as
+values so a replay or a spent 429 budget cannot hide the verdicts
+already admitted around it.
 
 Threading contract: one client owns one socket — share nothing, or
 give each thread its own client (the stress tests and the CLI do the
@@ -54,17 +55,6 @@ MAX_RETRY_WAIT_S = 1.0
 
 #: Wait (seconds) assumed when a 429 carries no parseable Retry-After.
 RETRY_AFTER_FALLBACK = 0.2
-
-
-def _wire_obj(envelope: Any) -> Any:
-    """An envelope in wire-object form (dict), from any accepted shape."""
-    if isinstance(envelope, ProofEnvelope):
-        return envelope.to_obj()
-    if isinstance(envelope, (bytes, bytearray)):
-        return json.loads(envelope.decode("utf-8"))
-    if isinstance(envelope, str):
-        return json.loads(envelope)
-    return envelope
 
 
 class CertifyClient:
@@ -232,28 +222,22 @@ class CertifyClient:
     def submit_many(
         self, envelopes: Iterable[Any]
     ) -> list[CertificationResult | ServiceError]:
-        """Certify a batch in one ``/certify-batch`` round trip.
+        """Certify many envelopes, one :meth:`submit` each, in order.
 
-        Outcomes come back in submission order, settled: a
-        :class:`CertificationResult` where the service decided, a
-        :class:`ReplayError` instance for a spent nullifier, a
-        :class:`ServiceError` instance for the 400 class — errors as
-        values, never raised, so one bad envelope cannot hide the
-        verdicts around it.  (Transport-level failures and a spent 429
-        budget still raise.)
+        Outcomes come back settled: a :class:`CertificationResult`
+        where the service decided, the raised :class:`ServiceError`
+        instance otherwise (:class:`ReplayError` for a spent nullifier,
+        :class:`ServiceUnavailableError` for a spent 429 budget, the
+        base class for the 400 class) — errors as values, never raised,
+        so one bad envelope cannot hide the verdicts around it.  A body
+        repeated in one call under other nonces is decoded once; the
+        later copies are cache hits.  Transport-level failures still
+        raise.
         """
-        body = json.dumps(
-            {"envelopes": [_wire_obj(envelope) for envelope in envelopes]}
-        ).encode("utf-8")
-        status, obj = self._request("POST", "/certify-batch", body)
-        if status != 200:
-            self._raise_for(status, obj)
         outcomes: list[CertificationResult | ServiceError] = []
-        for item in obj["results"]:
-            if item["status"] == 200:
-                outcomes.append(CertificationResult.from_obj(item["result"]))
-            elif item["status"] == 409:
-                outcomes.append(ReplayError(item["error"]))
-            else:
-                outcomes.append(ServiceError(item["error"]))
+        for envelope in envelopes:
+            try:
+                outcomes.append(self.submit(envelope))
+            except ServiceError as error:
+                outcomes.append(error)
         return outcomes

@@ -1,27 +1,27 @@
 """Stdlib-only threaded HTTP front end for the certification service.
 
 A deliberately small surface over :class:`~repro.service.server.
-CertificationService` — five routes, JSON in and out, no dependencies
+CertificationService` — four routes, JSON in and out, no dependencies
 beyond :mod:`http.server`:
 
-==================  ======  ==============================================
-``/healthz``        GET     liveness probe (``{"ok": true}``)
-``/schemes``        GET     the machine-readable catalog (``list-schemes
-                            --json`` shape)
-``/metrics``        GET     service counters, cache occupancy,
-                            in-flight requests
-``/certify``        POST    one :class:`~repro.service.envelope.
-                            ProofEnvelope` in wire form; returns the
-                            :class:`~repro.service.server.
-                            CertificationResult`
-``/certify-batch``  POST    ``{"envelopes": [wire, ...]}``; returns
-                            ``{"results": [...]}`` with one settled
-                            outcome per envelope, in order
-==================  ======  ==============================================
+============  ======  ====================================================
+``/healthz``  GET     liveness probe (``{"ok": true}``)
+``/schemes``  GET     the machine-readable catalog (``list-schemes
+                      --json`` shape)
+``/metrics``  GET     service counters, cache occupancy, in-flight
+                      requests
+``/certify``  POST    one :class:`~repro.service.envelope.ProofEnvelope`
+                      in wire form; returns the :class:`~repro.service.
+                      server.CertificationResult`
+============  ======  ====================================================
+
+Many envelopes travel as many ``/certify`` requests on one keep-alive
+connection (:meth:`repro.service.client.CertifyClient.submit_many`), so
+every body reaches the service as bytes.
 
 Status codes carry the verdict taxonomy: **200** for any decided
 verdict (acceptance is in the body — a sound rejection is a successful
-certification; a batch response is 200 with per-item statuses inside),
+certification),
 **400** for envelopes the service refuses to decide (malformed, unknown
 scheme, invalid parameters) and for bodies the server refuses to read
 (missing/invalid ``Content-Length``, chunked transfer encoding),
@@ -38,7 +38,7 @@ Threading model (requests are served concurrently since the
   :class:`~repro.service.server.CertificationService` underneath is
   thread-safe (see its module docstring for the lock ordering).
 * A **bounded in-flight semaphore** (``max_inflight``) gates the POST
-  routes: past the bound the server answers 429 immediately with
+  route: past the bound the server answers 429 immediately with
   ``Retry-After`` instead of queueing unbounded decider work — the
   backpressure contract (:class:`~repro.errors.ServiceUnavailableError`
   on the client side).  GET routes bypass the gate so health and
@@ -83,9 +83,6 @@ DEFAULT_PORT = 8423
 #: Largest accepted request body; a 10^6-node envelope is ~tens of MB,
 #: so this bounds memory without constraining the benchmark sizes.
 MAX_BODY_BYTES = 256 * 1024 * 1024
-
-#: Most envelopes accepted in one ``/certify-batch`` body.
-MAX_BATCH_ENVELOPES = 1024
 
 #: Concurrent POSTs admitted past the gate before 429s start.
 DEFAULT_MAX_INFLIGHT = 8
@@ -271,7 +268,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"no route {self.path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path not in ("/certify", "/certify-batch"):
+        if self.path != "/certify":
             self._error(404, f"no route {self.path!r}")
             return
         gate = self.server.gate  # type: ignore[attr-defined]
@@ -291,10 +288,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = self._read_body()
             if body is None:
                 return
-            if self.path == "/certify":
-                self._certify(body)
-            else:
-                self._certify_batch(body)
+            self._certify(body)
         finally:
             gate.release()
 
@@ -309,38 +303,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, str(error))
         else:
             self._reply(200, result.to_obj())
-
-    def _certify_batch(self, body: bytes) -> None:
-        try:
-            obj = json.loads(body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            self._error(400, f"batch body is not valid JSON: {error}")
-            return
-        except RecursionError:
-            self._error(400, "batch body JSON is nested too deeply")
-            return
-        envelopes = obj.get("envelopes") if isinstance(obj, dict) else None
-        if not isinstance(envelopes, list):
-            self._error(400, 'batch body must be {"envelopes": [...]}')
-            return
-        if len(envelopes) > MAX_BATCH_ENVELOPES:
-            self._error(
-                400,
-                f"batch of {len(envelopes)} exceeds the "
-                f"{MAX_BATCH_ENVELOPES}-envelope bound",
-            )
-            return
-        results = []
-        for kind, payload in self.service.submit_settled(envelopes):
-            if kind == "ok":
-                results.append({"status": 200, "result": payload.to_obj()})
-            elif kind == "replay":
-                results.append(
-                    {"status": 409, "error": payload, "replay": True}
-                )
-            else:
-                results.append({"status": 400, "error": payload})
-        self._reply(200, {"results": results})
 
 
 def make_server(

@@ -35,10 +35,10 @@ returns a structured :class:`CertificationResult`:
    timings are recorded through :mod:`repro.obs` spans and returned in
    the result.
 
-Threading contract: :meth:`~CertificationService.submit` (and the
-batch entry point) may be called from many threads at once — the
-threaded HTTP front end does exactly that.  Two locks are involved,
-with a strict ordering (see docs/ARCHITECTURE.md, "Threading model"):
+Threading contract: :meth:`~CertificationService.submit` may be called
+from many threads at once — the threaded HTTP front end does exactly
+that.  Two locks are involved, with a strict ordering (see
+docs/ARCHITECTURE.md, "Threading model"):
 
 * ``self._lock`` guards the stats dict, the verdict LRU and the
   wire-key index;
@@ -62,17 +62,16 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from threading import Lock
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.core import catalog
-from repro.core.labeling import Configuration, Labeling
+from repro.core.labeling import Configuration
 from repro.errors import (
     CanonicalError,
     CatalogError,
     EnvelopeError,
     LabelingError,
     LanguageError,
-    ReplayError,
     ServiceError,
 )
 from repro.graphs.graph import Graph
@@ -413,35 +412,6 @@ class CertificationService:
         )
         self._store(body_hash, result, admitted.wire_key)
         return result
-
-    def submit_settled(
-        self, envelopes: Iterable[Any]
-    ) -> list[tuple[str, Any]]:
-        """Submit a batch, settling every outcome instead of raising.
-
-        The ``/certify-batch`` route needs one outcome *per envelope*
-        even when some are replays or malformed, where :meth:`submit`
-        raises.  Each envelope runs through :meth:`submit` in turn, so a
-        body repeated in one batch is decoded once and then served from
-        the cache; outcomes come back in submission order as
-        ``(kind, payload)``:
-
-        ``("ok", CertificationResult)``
-            a decided verdict (accepted or not);
-        ``("replay", message)``
-            the nullifier was already spent;
-        ``("invalid", message)``
-            malformed or unservable (the 400 class).
-        """
-        outcomes: list[tuple[str, Any]] = []
-        for envelope in envelopes:
-            try:
-                outcomes.append(("ok", self.submit(envelope)))
-            except ReplayError as error:
-                outcomes.append(("replay", str(error)))
-            except ServiceError as error:
-                outcomes.append(("invalid", str(error)))
-        return outcomes
 
     def _store(
         self, body_hash: str, result: CertificationResult, wire_key: bytes | None

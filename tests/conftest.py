@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.graphs.generators import (
     connected_gnp,
@@ -37,3 +44,35 @@ def small_graphs(rng):
 def weighted_graph(rng):
     """A small connected graph with distinct random weights."""
     return weighted_copy(connected_gnp(10, 0.35, rng), rng)
+
+
+@pytest.fixture
+def run_into_closed_pipe():
+    """Run ``python -m repro *args`` with stdout a pipe whose reader
+    closed before the first write (``| head``, ``| grep -q``).
+
+    ``unbuffered`` sets ``PYTHONUNBUFFERED``: then the first write
+    fails, otherwise only the flush does.
+    """
+    src = str(pathlib.Path(repro.__file__).parents[1])
+
+    def run(*args: str, unbuffered: bool) -> subprocess.CompletedProcess:
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+            PYTHONUNBUFFERED="1" if unbuffered else "",
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *args],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+
+    return run

@@ -138,7 +138,7 @@ class TestSerialConcurrentEquivalence:
 
         # -- concurrent run: the same multiset of submissions pushed
         # through the threaded HTTP front end by several clients at
-        # once, mixing the single and the batch route
+        # once, mixing raising submits and settled submit_many calls
         outcomes: list[tuple[str, str, tuple | None]] = []
         sink_lock = threading.Lock()
         n_threads = 4
@@ -162,7 +162,7 @@ class TestSerialConcurrentEquivalence:
 
             return worker
 
-        def make_batch_worker(chunk, url, barrier):
+        def make_many_worker(chunk, url, barrier):
             def worker():
                 with CertifyClient(url) as client:
                     barrier.wait()
@@ -189,7 +189,7 @@ class TestSerialConcurrentEquivalence:
         }
         with _serving(service, max_inflight=8) as (server, url):
             _run_threads([
-                (make_single_worker if index % 2 else make_batch_worker)(
+                (make_single_worker if index % 2 else make_many_worker)(
                     chunk, url, barrier
                 )
                 for index, chunk in enumerate(chunks)
@@ -359,6 +359,42 @@ class TestBackpressure:
             finally:
                 service.release.set()
                 holder.join(timeout=30)
+
+    def test_saturated_submit_many_settles_without_spending(self):
+        """A spent 429 budget is one settled outcome per envelope, not a
+        raise that would hide verdicts admitted earlier in the list; the
+        refused envelopes were never admitted, so they decide later."""
+        service = _BlockingService()
+        occupant = build_envelope("bipartite", n=8, seed=54)
+        envelopes = [
+            build_envelope("leader", n=10, seed=55),
+            build_envelope("bipartite", n=10, seed=56, corrupt=2),
+        ]
+        with _serving(service, max_inflight=1) as (_, url):
+
+            def hold():
+                with CertifyClient(url) as client:
+                    client.submit(occupant)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            try:
+                assert service.entered.wait(timeout=10)
+                with CertifyClient(url, retries=0) as client:
+                    saturated = client.submit_many(envelopes)
+                assert [type(outcome) for outcome in saturated] == [
+                    ServiceUnavailableError, ServiceUnavailableError
+                ]
+            finally:
+                service.release.set()
+                holder.join(timeout=30)
+            # default retry budget: the occupant's handler may release
+            # its slot just after its reply reached the holder
+            with CertifyClient(url) as client:
+                decided = client.submit_many(envelopes)
+        assert [(result.accepted, result.cache_hit) for result in decided] == [
+            (True, False), (False, False)
+        ]
 
     def test_client_retry_succeeds_once_capacity_frees(self):
         service = _BlockingService()

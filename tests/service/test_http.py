@@ -10,7 +10,14 @@ import urllib.request
 import pytest
 
 from repro.core import catalog
-from repro.service import CertificationService, build_envelope
+from repro.errors import ReplayError, ServiceError
+from repro.obs import metrics as obs
+from repro.service import (
+    CertificationResult,
+    CertificationService,
+    build_envelope,
+)
+from repro.service.client import CertifyClient
 from repro.service.httpd import make_server
 
 
@@ -70,8 +77,9 @@ class TestRoutes:
                if p["name"] == "eps"]
         assert eps and eps[0]["minimum"] == 0 and eps[0]["exclusive"]
 
-    def test_unknown_route_404(self, server_url):
-        status, body = _post(server_url + "/nope", b"{}")
+    @pytest.mark.parametrize("route", ["/nope", "/certify-batch"])
+    def test_unknown_route_404(self, server_url, route):
+        status, body = _post(server_url + route, b"{}")
         assert status == 404 and "error" in body
 
 
@@ -138,63 +146,73 @@ class TestCertify:
         assert body["inflight"] == 0
 
 
-class TestCertifyBatch:
-    def test_mixed_batch_settles_every_envelope(self, server_url):
+class TestSubmitMany:
+    """Many envelopes, one ``/certify`` request each, settled in order."""
+
+    def test_mixed_envelopes_settle_in_place(self, server_url):
         honest = build_envelope("bipartite", n=8, seed=21)
         corrupted = build_envelope("leader", n=10, seed=22, corrupt=2)
         replayed = build_envelope("spanning-tree-ptr", n=12, seed=23)
-        batch = {"envelopes": [
-            honest.to_obj(),
-            corrupted.to_obj(),
-            replayed.to_obj(),
-            replayed.to_obj(),        # verbatim duplicate: 409 in place
-            {"format": "junk"},       # malformed: 400 in place
-        ]}
-        status, body = _post(
-            server_url + "/certify-batch", json.dumps(batch).encode()
+        with CertifyClient(server_url) as client:
+            outcomes = client.submit_many([
+                honest.to_obj(),
+                corrupted.to_obj(),
+                replayed.to_obj(),
+                replayed.to_obj(),        # verbatim duplicate: replay in place
+                {"format": "junk"},       # malformed: refused in place
+            ])
+        assert len(outcomes) == 5
+        assert all(
+            isinstance(outcome, CertificationResult) for outcome in outcomes[:3]
         )
-        assert status == 200  # batch transport succeeded; statuses inside
-        results = body["results"]
-        assert [item["status"] for item in results] == [200, 200, 200, 409, 400]
-        assert results[0]["result"]["accepted"]
-        assert not results[1]["result"]["accepted"]
-        assert results[1]["result"]["rejections"] >= 1
-        assert results[2]["result"]["accepted"]
-        assert results[3]["replay"] and "error" in results[3]
-        assert "error" in results[4]
+        assert outcomes[0].accepted
+        assert not outcomes[1].accepted and outcomes[1].rejections >= 1
+        assert outcomes[2].accepted
+        assert isinstance(outcomes[3], ReplayError)
+        assert type(outcomes[4]) is ServiceError
 
-    def test_batch_fresh_nonce_hits_cache(self, server_url):
+    def test_fresh_nonce_hits_cache(self, server_url):
         envelope = build_envelope("bipartite", n=8, seed=24)
-        batch = {"envelopes": [
-            envelope.to_obj(),
-            envelope.with_nonce("fresh").to_obj(),
-        ]}
-        status, body = _post(
-            server_url + "/certify-batch", json.dumps(batch).encode()
-        )
-        assert status == 200
-        first, second = body["results"]
-        assert not first["result"]["cache_hit"]
-        assert second["result"]["cache_hit"]
+        with CertifyClient(server_url) as client:
+            first, second = client.submit_many(
+                [envelope.to_obj(), envelope.with_nonce("fresh").to_obj()]
+            )
+        assert not first.cache_hit
+        assert second.cache_hit
 
-    def test_batch_bad_json_400(self, server_url):
-        status, body = _post(server_url + "/certify-batch", b"not json")
-        assert status == 400 and "JSON" in body["error"]
+    def test_fresh_nonce_resubmit_loads_no_json(self, server_url, monkeypatch):
+        """Canonical bodies resubmitted under fresh nonces are all served
+        from the wire-key index: no body is loaded, and no wire object
+        is built to hash its parts, a second time."""
+        from repro.service import server as server_module
 
-    def test_batch_wrong_shape_400(self, server_url):
-        for payload in (b"[1, 2]", b'{"envelope": []}', b'{"envelopes": 3}'):
-            status, body = _post(server_url + "/certify-batch", payload)
-            assert status == 400
-            assert '{"envelopes": [...]}' in body["error"]
+        built = []
 
-    def test_batch_over_bound_400(self, server_url):
-        from repro.service.httpd import MAX_BATCH_ENVELOPES
+        class CountingWireBody(server_module.WireBody):
+            def __init__(self, obj):
+                built.append(type(obj).__name__)
+                super().__init__(obj)
 
-        batch = {"envelopes": [{}] * (MAX_BATCH_ENVELOPES + 1)}
-        status, body = _post(
-            server_url + "/certify-batch", json.dumps(batch).encode()
-        )
-        assert status == 400 and "bound" in body["error"]
+        monkeypatch.setattr(server_module, "WireBody", CountingWireBody)
+        envelopes = [
+            build_envelope(name, n=12, seed=25)
+            for name in ("spanning-tree-ptr", "leader", "bfs-tree")
+        ]
+        with CertifyClient(server_url) as client:
+            cold = client.submit_many(
+                [envelope.to_bytes() for envelope in envelopes]
+            )
+            before = obs.counter_total("service.envelope.loaded")
+            del built[:]
+            hot = client.submit_many(
+                [envelope.with_nonce("again").to_bytes()
+                 for envelope in envelopes]
+            )
+            loaded = obs.counter_total("service.envelope.loaded") - before
+        assert [result.cache_hit for result in cold] == [False] * 3
+        assert [result.cache_hit for result in hot] == [True] * 3
+        assert loaded == 0
+        assert built == []
 
 
 def _raw_connection(server_url):
@@ -207,11 +225,10 @@ def _raw_connection(server_url):
 class TestBodyFraming:
     """Malformed framing must 400 cleanly, never pin a worker thread."""
 
-    @pytest.mark.parametrize("route", ["/certify", "/certify-batch"])
-    def test_missing_content_length_400(self, server_url, route):
+    def test_missing_content_length_400(self, server_url):
         conn = _raw_connection(server_url)
         try:
-            conn.putrequest("POST", route)
+            conn.putrequest("POST", "/certify")
             conn.endheaders()  # no body, no Content-Length
             response = conn.getresponse()
             body = json.loads(response.read())
@@ -222,13 +239,12 @@ class TestBodyFraming:
         finally:
             conn.close()
 
-    @pytest.mark.parametrize("route", ["/certify", "/certify-batch"])
-    def test_chunked_transfer_encoding_400(self, server_url, route):
+    def test_chunked_transfer_encoding_400(self, server_url):
         # refused before any body read: a chunked body's length is
         # unknowable up front, and waiting on it would hang the worker
         conn = _raw_connection(server_url)
         try:
-            conn.putrequest("POST", route)
+            conn.putrequest("POST", "/certify")
             conn.putheader("Transfer-Encoding", "chunked")
             conn.endheaders()
             response = conn.getresponse()
@@ -293,11 +309,10 @@ class TestDeeplyNestedJson:
         finally:
             service.close()
 
-    def test_both_routes_reply_400(self, served):
+    def test_certify_replies_400(self, served):
         url, server = served
-        for route in ("/certify", "/certify-batch"):
-            status, body = _post(url + route, self.DEEP)
-            assert status == 400 and "nested" in body["error"], route
+        status, body = _post(url + "/certify", self.DEEP)
+        assert status == 400 and "nested" in body["error"]
         assert _get(url + "/healthz")[0] == 200
         assert not server.errors, list(server.errors)
 
@@ -355,3 +370,21 @@ class TestLabelingMustFitTheDeclaredGraph:
         status, body = _post(url + "/certify", self._body(n=3, relabel=5))
         assert (status, body["error"]) == (400, self.MESSAGE)
         assert not server.errors, list(server.errors)
+
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_submit_into_a_closed_pipe_keeps_its_exit_code(
+    server_url, tmp_path, run_into_closed_pipe, unbuffered
+):
+    """``repro submit … | grep -q`` under ``pipefail``: a reader that
+    closes stdout early leaves the verdict's exit code, and no trace."""
+    path = tmp_path / "good.json"
+    path.write_bytes(build_envelope("bipartite", n=8, seed=26).to_bytes())
+    done = run_into_closed_pipe(
+        "submit", str(path), "--url", server_url, "--nonce", "fresh",
+        unbuffered=unbuffered,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr

@@ -4,8 +4,8 @@ The headline property is registry-wide: for every catalog scheme, a
 served verdict (through envelope serialization, parsing, deterministic
 rebuild, and ``scheme.run``) equals the per-node oracle ``decide()``
 verdict node-for-node — honest and corrupted labelings alike.  Around
-it: cache semantics, replay rejection, batch settling, and parameter
-validation.
+it: cache semantics, replay rejection, refusals that stand alone, and
+parameter validation.
 """
 
 from __future__ import annotations
@@ -145,20 +145,24 @@ class TestCacheSemantics:
         assert service.stats["replays_rejected"] == 1
 
 
-class TestSettledBatch:
+class TestSubmitSequence:
+    """One service, several submits in a row: a refused body stands
+    alone, and its neighbours are decided as if it were not there."""
+
     def test_malformed_certificate_settles_alone(self):
-        """A certificate payload that is not a canonical encoding settles
-        as ``invalid``; its siblings in the same batch still get verdicts."""
+        """A certificate payload that is not a canonical encoding is
+        refused; the envelopes around it still get verdicts."""
         service = CertificationService()
         good = [
             build_envelope("bipartite", n=8, seed=seed) for seed in (3, 4)
         ]
         bad = build_envelope("bipartite", n=8, seed=5).to_obj()
         bad["certificates"][0][1] = {"__pls__": "set", "v": [{"__pls__": "list", "v": [1]}]}
-        outcomes = service.submit_settled([good[0], bad, good[1]])
-        assert [kind for kind, _ in outcomes] == ["ok", "invalid", "ok"]
-        assert "malformed set encoding" in outcomes[1][1]
-        for (_, result), envelope in zip(outcomes[::2], good):
+        first = service.submit(good[0])
+        with pytest.raises(ServiceError, match="malformed set encoding"):
+            service.submit(bad)
+        second = service.submit(good[1])
+        for result, envelope in zip((first, second), good):
             assert result.accepted == _in_process_verdict(envelope).all_accept
 
     def test_repeated_body_is_decoded_once(self):
@@ -167,17 +171,19 @@ class TestSettledBatch:
         a = envelope.with_nonce("a").to_bytes()
         b = envelope.with_nonce("b").to_bytes()
         with obs.collect("t") as metrics:
-            outcomes = service.submit_settled([a, b])
+            results = [service.submit(a), service.submit(b)]
         assert metrics.counter("service.envelope.decoded") == 1
-        assert [kind for kind, _ in outcomes] == ["ok", "ok"]
-        assert not outcomes[0][1].cache_hit and outcomes[1][1].cache_hit
+        assert not results[0].cache_hit and results[1].cache_hit
 
     def test_refused_bodies_balance_the_stats(self):
         service = CertificationService()
         good = build_envelope("bipartite", n=8, seed=6).to_bytes()
         with obs.collect("t") as metrics:
-            outcomes = service.submit_settled([b"not json", good, {"format": "x"}])
-        assert [kind for kind, _ in outcomes] == ["invalid", "ok", "invalid"]
+            with pytest.raises(ServiceError):
+                service.submit(b"not json")
+            service.submit(good)
+            with pytest.raises(ServiceError):
+                service.submit({"format": "x"})
         assert service.stats == {
             "submitted": 3,
             "cache_hits": 0,

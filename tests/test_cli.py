@@ -56,6 +56,14 @@ class TestListSchemes:
         assert "kind=universal" in out
 
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_1_quietly(self, run_into_closed_pipe, unbuffered):
+        done = run_into_closed_pipe("list-schemes", unbuffered=unbuffered)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+
+
 class TestCertify:
     def test_certify_accepts(self, capsys):
         code = main(["certify", "spanning-tree-ptr", "--n", "16", "--seed", "3"])
@@ -445,6 +453,43 @@ class TestServiceCommands:
             assert main(["submit", str(out), "--url", url,
                          "--nonce", "fresh"]) == 0
             assert json.loads(capsys.readouterr().out)["cache_hit"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+    def test_submit_several_files_settles_each_in_order(self, tmp_path, capsys):
+        import json
+        import threading
+
+        from repro.service import CertificationService
+        from repro.service.httpd import make_server
+
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        assert main(["make-envelope", "leader", "--n", "12", "--seed", "8",
+                     "--out", str(good)]) == 0
+        assert main(["make-envelope", "leader", "--n", "12", "--seed", "9",
+                     "--corrupt", "2", "--out", str(bad)]) == 0
+        capsys.readouterr()
+
+        service = CertificationService()
+        server = make_server(port=0, service=service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = "http://%s:%d" % server.server_address[:2]
+        try:
+            # one rejected verdict: exit 1, a JSON array in file order
+            assert main(["submit", str(good), str(bad), "--url", url]) == 1
+            first, second = json.loads(capsys.readouterr().out)
+            assert first["accepted"] and not second["accepted"]
+            # the same files again are replays, settled in place: exit 2
+            assert main(["submit", str(good), str(bad), "--url", url]) == 2
+            replays = json.loads(capsys.readouterr().out)
+            assert [item["replay"] for item in replays] == [True, True]
+            # under a fresh nonce both are cache hits
+            assert main(["submit", str(good), str(bad), "--url", url,
+                         "--nonce", "again"]) == 1
+            hits = json.loads(capsys.readouterr().out)
+            assert [verdict["cache_hit"] for verdict in hits] == [True, True]
         finally:
             server.shutdown()
             server.server_close()
