@@ -10,7 +10,6 @@ import sys
 import pytest
 
 import repro
-
 from repro.graphs.generators import (
     connected_gnp,
     cycle_graph,
