@@ -11,9 +11,11 @@ all three on the headline workload (``spanning-tree-ptr`` on
 ``random_tree`` instances up to n = 100 000):
 
 ``cold_s``
-    One full cold submission of a parsed envelope: parameter
+    One full cold submission of an in-process envelope: parameter
     validation, nullifier spend, deterministic scheme rebuild, and the
-    batched array decider.
+    batched array decider.  ``build_envelope`` hands the envelope the
+    prover's ``CertificateColumns``, so this cell does not exercise the
+    wire's decoded-dict intake.
 ``cached_s``
     The same envelope resubmitted under a fresh nonce.  The measurement
     asserts — via the ``service.cache.hit`` and ``decide.calls``

@@ -25,10 +25,9 @@ def main() -> None:
     scheme = SpanningTreePointerScheme()
     print(f"network: {graph!r}, scheme: {scheme.name} ({scheme.size_bound})")
 
-    # A legal configuration and its certificates.
+    # A legal configuration and the size of its certificates.
     config = scheme.language.member_configuration(graph, rng=rng)
-    assignment = scheme.assignment(config)
-    print(f"proof size: {assignment.max_bits} bits per node "
+    print(f"proof size: {scheme.proof_size_bits(config)} bits per node "
           f"(log2 n = {graph.n.bit_length() - 1})")
 
     verdict = scheme.run(config)

@@ -34,7 +34,6 @@ from repro.errorsensitive import (
     measure_scheme_sensitivity,
 )
 from repro.core import (
-    CertificateAssignment,
     Configuration,
     ConjunctionScheme,
     DistributedLanguage,
@@ -90,7 +89,6 @@ __all__ = [
     "ApproxScheme",
     "BfsTreeScheme",
     "BipartiteScheme",
-    "CertificateAssignment",
     "ColoringEchoScheme",
     "Configuration",
     "ConjunctionScheme",

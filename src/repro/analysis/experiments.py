@@ -15,6 +15,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.analysis.tables import ExperimentResult
 from repro.core import catalog
+from repro.core.batch import batch_prove
 from repro.core.measure import CURVES, best_curve, fit_affine, proof_size_sweep
 from repro.core.soundness import attack, completeness_holds
 from repro.core.universal import UniversalScheme
@@ -781,9 +782,9 @@ def experiment_t5_approx(
                     config = scheme.language.member_configuration(
                         graph, rng=spawn(rng, seed + 3)
                     )
-                    assignment = scheme.assignment(config)
-                    assert scheme.run(config, assignment).all_accept
-                    approx_bits = assignment.max_bits
+                    certificates = batch_prove(scheme, config)
+                    assert scheme.run(config, certificates).all_accept
+                    approx_bits, total_bits = scheme.proof_bits(certificates)
                     exact_bits = scheme.exact_counterpart().proof_size_bits(config)
                     always_smaller &= approx_bits < exact_bits
                     _, run = distributed_verification(scheme, config)
@@ -798,7 +799,7 @@ def experiment_t5_approx(
                         run.message_bits / max(1, graph.num_edges),
                     )
                     if eps is not None and fname == families[0] and n == max(sizes):
-                        tradeoff[scheme.alpha] = assignment.total_bits
+                        tradeoff[scheme.alpha] = total_bits
         if tradeoff:
             points = ", ".join(
                 f"alpha={a:g}: {bits}" for a, bits in sorted(tradeoff.items())

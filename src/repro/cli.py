@@ -59,6 +59,7 @@ from typing import Any, Callable, Sequence
 from repro.analysis import experiments as _experiments
 from repro.approx.scheme import ApproxScheme
 from repro.core import catalog
+from repro.core.batch import batch_prove
 from repro.core.soundness import attack as run_attack
 from repro.core.soundness import gap_attack as run_gap_attack
 from repro.errors import CatalogError, LanguageError
@@ -452,19 +453,20 @@ def _cmd_certify(args) -> int:
         config = scheme.language.member_configuration(graph, rng=rng)
     except LanguageError as error:
         raise SystemExit(f"no yes-instance on this graph: {error}")
-    assignment = scheme.assignment(config)
-    verdict = scheme.run(config, assignment)
+    certificates = batch_prove(scheme, config)
+    verdict = scheme.run(config, certificates)
+    max_bits, total_bits = scheme.proof_bits(certificates)
     print(f"graph: {graph!r}")
     print(_scheme_line(scheme, spec))
     if args.param:
         print(f"params: {' '.join(args.param)}")
-    print(f"proof size: {assignment.max_bits} bits (mean "
-          f"{assignment.total_bits / max(1, graph.n):.1f})")
+    print(f"proof size: {max_bits} bits (mean "
+          f"{total_bits / max(1, graph.n):.1f})")
     if isinstance(scheme, ApproxScheme):
         exact = scheme.exact_counterpart()
         exact_bits = exact.proof_size_bits(config)
         print(f"exact proof size: {exact_bits} bits ({exact.name})")
-        print(f"gap saving: {exact_bits / max(1, assignment.max_bits):.1f}x")
+        print(f"gap saving: {exact_bits / max(1, max_bits):.1f}x")
     print(f"verification: all accept = {verdict.all_accept}")
     code = 0 if verdict.all_accept else 1
     if args.attack:
@@ -581,8 +583,6 @@ def _cmd_profile(args) -> int:
         seed=args.seed,
     ) as metrics:
         with _obs.span("certify", scheme=args.scheme):
-            from repro.core.batch import batch_prove
-
             certificates = batch_prove(scheme, config)
             verdict = scheme.run(config, certificates)
         with _obs.span("message-path", scheme=args.scheme):
@@ -725,9 +725,17 @@ def _cmd_serve(args) -> int:
 
 
 def _load_submit_payloads(args) -> list[bytes]:
-    """Read the envelope files, applying ``--nonce`` when given."""
-    from repro.errors import EnvelopeError
-    from repro.service import ProofEnvelope
+    """Read the envelope files, applying ``--nonce`` when given.
+
+    A nonce is set on the loaded JSON object, not on a decoded
+    envelope: the canonical bytes of a canonical file under the new
+    nonce are exactly ``envelope.with_nonce(nonce).to_bytes()``.  The
+    server checks everything else.
+    """
+    import json
+
+    from repro.errors import CanonicalError
+    from repro.util.canonical import canonical_bytes
 
     payloads: list[bytes] = []
     for name in args.envelope:
@@ -738,10 +746,16 @@ def _load_submit_payloads(args) -> list[bytes]:
             raise SystemExit(str(error))
         if args.nonce is not None:
             try:
-                envelope = ProofEnvelope.from_bytes(payload)
-            except EnvelopeError as error:
-                raise SystemExit(str(error))
-            payload = envelope.with_nonce(args.nonce).to_bytes()
+                obj = json.loads(payload)
+            except (ValueError, RecursionError) as error:
+                raise SystemExit(f"{name}: not JSON: {error}")
+            if not isinstance(obj, dict):
+                raise SystemExit(f"{name}: not a JSON object")
+            obj["nonce"] = args.nonce
+            try:
+                payload = canonical_bytes(obj)
+            except (CanonicalError, RecursionError) as error:
+                raise SystemExit(f"{name}: {error}")
         payloads.append(payload)
     return payloads
 

@@ -11,7 +11,7 @@ from repro.core.composition import ConjunctionScheme, IntersectionLanguage
 from repro.core.labeling import Configuration, Labeling
 from repro.core.language import DistributedLanguage
 from repro.core.measure import SizeRow, best_curve, fit_constant, proof_size_sweep
-from repro.core.scheme import CertificateAssignment, ProofLabelingScheme
+from repro.core.scheme import ProofLabelingScheme
 from repro.core.soundness import (
     AttackResult,
     attack,
@@ -35,7 +35,6 @@ from repro.core.verifier import (
 __all__ = [
     "AttackResult",
     "BallView",
-    "CertificateAssignment",
     "Configuration",
     "ConjunctionScheme",
     "DistributedLanguage",

@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from repro.errors import SchemeError
 from repro.obs import metrics as _metrics
 
 if TYPE_CHECKING:  # typing only; runtime import happens lazily below
@@ -74,7 +75,6 @@ __all__ = [
     "batch_prover",
     "bool_states",
     "pointer_states",
-    "resolve_backend",
     "state_list",
     "supports_batch",
     "supports_batch_marker",
@@ -483,18 +483,6 @@ def supports_batch_prove(scheme: "ProofLabelingScheme") -> bool:
     return prover_for(scheme) is not None
 
 
-def resolve_backend(backend: str, scheme: "ProofLabelingScheme") -> str | None:
-    """A ``backend=`` argument as ``"array"`` or ``"views"``; ``None``
-    when the name is unknown.
-
-    ``"auto"`` picks ``"array"`` exactly when ``scheme`` has a batched
-    decider.
-    """
-    if backend == "auto":
-        return "array" if supports_batch(scheme) else "views"
-    return backend if backend in ("views", "array") else None
-
-
 def try_batch_member_configuration(
     language: "DistributedLanguage",
     graph: "Graph",
@@ -537,7 +525,7 @@ def try_batch_member_configuration(
 
 def try_batch_prove(
     scheme: "ProofLabelingScheme", config: "Configuration"
-) -> "dict[int, Any] | None":
+) -> "Mapping[int, Any] | None":
     """Batched honest certificates, or ``None`` to use the dict prover.
 
     On success the mapping (a dict, or
@@ -561,12 +549,21 @@ def try_batch_prove(
 
 def batch_prove(
     scheme: "ProofLabelingScheme", config: "Configuration"
-) -> "dict[int, Any]":
-    """Honest certificates with automatic dict fallback (always answers)."""
+) -> "Mapping[int, Any]":
+    """Honest certificates with automatic dict fallback (always answers),
+    exactly as the prover returned them.
+
+    The dict prover must cover every node (:class:`~repro.errors.SchemeError`
+    otherwise); a kernel's columns cover ``range(n)`` by construction.
+    """
     certificates = try_batch_prove(scheme, config)
     if certificates is not None:
         return certificates
-    return scheme.prove(config)
+    certificates = scheme.prove(config)
+    missing = [v for v in range(config.graph.n) if v not in certificates]
+    if missing:
+        raise SchemeError(f"{scheme.name}: prover skipped nodes {missing[:5]}")
+    return certificates
 
 
 # ---------------------------------------------------------------------------

@@ -104,36 +104,32 @@ class DistributedLanguage(ABC):
         graph: Graph,
         ids: dict[int, int] | None = None,
         rng: random.Random | None = None,
-        backend: str = "auto",
     ) -> Configuration:
         """A legal configuration on ``graph`` (canonical labeling).
 
-        ``backend`` picks the marker implementation: ``"auto"`` (the
-        default) takes the vectorized kernel from
-        :mod:`repro.core.batch` when one is registered for this language
-        type, falling back to the per-node dict canonical otherwise;
-        ``"array"`` requires the kernel (raises
-        :class:`~repro.errors.LanguageError` when there is none);
-        ``"views"`` forces the dict path, which is the semantic oracle
-        the kernels are pinned against.  All three return the same
+        Takes the vectorized marker kernel from :mod:`repro.core.batch`
+        when one is registered for this language type and does not
+        decline, and otherwise the per-node dict canonical
+        (:meth:`_dict_member_configuration`), which is the semantic
+        oracle the kernels are pinned against.  Both return the same
         configuration from the same ``rng`` stream.
         """
-        if backend not in ("auto", "array", "views"):
-            raise LanguageError(
-                f"{self.name}: unknown marker backend {backend!r}"
-            )
-        rng = rng or make_rng()
-        if backend != "views":
-            from repro.core.batch import try_batch_member_configuration
+        from repro.core.batch import try_batch_member_configuration
 
-            config = try_batch_member_configuration(self, graph, ids=ids, rng=rng)
-            if config is not None:
-                return config
-            if backend == "array":
-                raise LanguageError(
-                    f"{self.name}: no vectorized marker registered "
-                    "(backend='array')"
-                )
+        rng = rng or make_rng()
+        config = try_batch_member_configuration(self, graph, ids=ids, rng=rng)
+        if config is not None:
+            return config
+        return self._dict_member_configuration(graph, ids, rng)
+
+    def _dict_member_configuration(
+        self,
+        graph: Graph,
+        ids: dict[int, int] | None,
+        rng: random.Random,
+    ) -> Configuration:
+        """The dict path of :meth:`member_configuration`: the canonical
+        labeling, checked for membership."""
         labeling = self.canonical_labeling(graph, ids=ids, rng=rng)
         config = Configuration.build(graph, labeling, ids=ids)
         if not self.is_member(config):

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from repro.core.batch import batch_prove
 from repro.core.scheme import ProofLabelingScheme
 from repro.graphs.graph import Graph
 from repro.util.rng import make_rng, spawn
@@ -82,9 +83,9 @@ def proof_size_sweep(
             config = scheme.language.member_configuration(
                 graph, rng=spawn(rng, 1000 + sample)
             )
-            assignment = scheme.assignment(config)
-            worst = max(worst, assignment.max_bits)
-            mean_acc += assignment.total_bits / max(1, graph.n)
+            max_bits, total_bits = scheme.proof_bits(batch_prove(scheme, config))
+            worst = max(worst, max_bits)
+            mean_acc += total_bits / max(1, graph.n)
             state_bits = max(state_bits, config.labeling.max_state_bits())
         rows.append(
             SizeRow(

@@ -22,7 +22,7 @@ would have produced.  Schemes document their best-effort behaviour.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.core.labeling import Configuration
 from repro.core.language import DistributedLanguage
@@ -34,61 +34,10 @@ from repro.core.verifier import (
     decide,
     refresh_views,
 )
-from repro.errors import SchemeError
 from repro.obs import metrics as _metrics
 from repro.util.bits import obj_bit_size
 
-__all__ = ["CertificateAssignment", "ProofLabelingScheme"]
-
-
-class CertificateAssignment(Mapping[int, Any]):
-    """Certificates for every node, with bit-size accounting.
-
-    Sizes are computed through the owning scheme's codec, so
-    ``assignment.max_bits`` is the *proof size* of this particular
-    assignment.  Each certificate is sized once, on the first read of
-    :attr:`max_bits` or :attr:`total_bits`.
-    """
-
-    def __init__(
-        self, certificates: Mapping[int, Any], scheme: "ProofLabelingScheme"
-    ) -> None:
-        self._certs = dict(certificates)
-        self._scheme = scheme
-        self._sizes: list[int] | None = None
-
-    def __getitem__(self, node: int) -> Any:
-        return self._certs[node]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._certs)
-
-    def __len__(self) -> int:
-        return len(self._certs)
-
-    def bits(self, node: int) -> int:
-        return self._scheme.certificate_bits(self._certs[node])
-
-    def _bit_sizes(self) -> list[int]:
-        if self._sizes is None:
-            self._sizes = [self.bits(v) for v in self._certs]
-        return self._sizes
-
-    @property
-    def max_bits(self) -> int:
-        return max(self._bit_sizes(), default=0)
-
-    @property
-    def total_bits(self) -> int:
-        return sum(self._bit_sizes())
-
-    def replaced(self, node: int, certificate: Any) -> "CertificateAssignment":
-        certs = dict(self._certs)
-        certs[node] = certificate
-        return CertificateAssignment(certs, self._scheme)
-
-    def __repr__(self) -> str:
-        return f"CertificateAssignment({len(self._certs)} nodes, max {self.max_bits} bits)"
+__all__ = ["ProofLabelingScheme"]
 
 
 class ProofLabelingScheme(ABC):
@@ -125,16 +74,13 @@ class ProofLabelingScheme(ABC):
         """Size of one certificate in bits (canonical codec by default)."""
         return obj_bit_size(certificate)
 
+    def proof_bits(self, certificates: Mapping[int, Any]) -> tuple[int, int]:
+        """``(max_bits, total_bits)`` of ``certificates``, each sized once
+        by :meth:`certificate_bits`; ``max_bits`` is their proof size."""
+        sizes = list(map(self.certificate_bits, certificates.values()))
+        return max(sizes, default=0), sum(sizes)
+
     # -- running ------------------------------------------------------------
-
-    def assignment(self, config: Configuration) -> CertificateAssignment:
-        from repro.core.batch import batch_prove
-
-        certs = batch_prove(self, config)
-        missing = [v for v in config.graph.nodes if v not in certs]
-        if missing:
-            raise SchemeError(f"{self.name}: prover skipped nodes {missing[:5]}")
-        return CertificateAssignment(certs, self)
 
     def run(
         self,
@@ -202,8 +148,10 @@ class ProofLabelingScheme(ABC):
         )
 
     def proof_size_bits(self, config: Configuration) -> int:
-        """Proof size (max certificate bits) of the honest assignment."""
-        return self.assignment(config).max_bits
+        """Proof size (max certificate bits) of the honest certificates."""
+        from repro.core.batch import batch_prove
+
+        return self.proof_bits(batch_prove(self, config))[0]
 
     def __repr__(self) -> str:
         return f"<scheme {self.name} for {self.language.name}>"

@@ -53,12 +53,8 @@ class RejectionCounter:
     node.  Certificates stay pinned to the base assignment — the
     honest-but-stale reading the self-stabilization campaigns use: the
     prover certified the legal configuration, then the registers drifted.
-
-    ``backend`` picks the verification machinery per count: ``"views"``
-    (default) is the incremental dict path above; ``"array"`` builds no
-    views and lets each count run the scheme's vectorized batched
-    decider over the CSR mirror (verdict-identical by contract);
-    ``"auto"`` selects ``"array"`` exactly when the scheme supports it.
+    Every count verifies on those views, whatever decider the scheme
+    has, so its cost shows in the ``views.built`` ledger.
     """
 
     def __init__(
@@ -66,26 +62,13 @@ class RejectionCounter:
         scheme: ProofLabelingScheme,
         config: Configuration,
         certificates: Mapping[int, Any] | None = None,
-        backend: str = "views",
     ) -> None:
         self.scheme = scheme
         self.base = config
         self.certificates = (
             dict(certificates) if certificates is not None else scheme.prove(config)
         )
-        from repro.core.batch import resolve_backend
-
-        self.backend = resolve_backend(backend, scheme)
-        if self.backend is None:
-            raise SchemeError(
-                f"unknown counter backend {backend!r}; "
-                f"use 'views', 'array' or 'auto'"
-            )
-        self._views = (
-            scheme.build_views(config, self.certificates)
-            if self.backend == "views"
-            else None
-        )
+        self._views = scheme.build_views(config, self.certificates)
 
     def verdict(
         self,
@@ -115,10 +98,6 @@ class RejectionCounter:
                     f"labeling differs outside the declared changed set "
                     f"at nodes {stale[:5]}"
                 )
-        if self._views is None:
-            # Array backend: no cached views, so `run` dispatches to the
-            # batched decider (with automatic per-node fallback).
-            return self.scheme.run(config, certificates=self.certificates)
         views = self.scheme.refresh_views(
             config, self.certificates, self._views, changed
         )

@@ -72,39 +72,19 @@ class DetectionReport:
         return bool(self.legitimate) and self.alarmed
 
 
-def _resolve_backend(backend: str, scheme: ProofLabelingScheme) -> str:
-    from repro.core.batch import resolve_backend
-
-    resolved = resolve_backend(backend, scheme)
-    if resolved is None:
-        raise SimulationError(
-            f"unknown detection backend {backend!r}; "
-            f"use 'views', 'array' or 'auto'"
-        )
-    return resolved
-
-
 class PlsDetector:
     """Bind a scheme to a protocol's state decomposition.
 
-    ``backend`` (``"views"``/``"array"``/``"auto"``, see
-    :class:`DetectionSession`) selects the verification machinery for
-    stateless :meth:`sweep` calls and the default for sessions opened
-    through :meth:`session`.  The default stays ``"views"`` so the
-    campaign cost ledgers (``views.built`` per full sweep) keep their
-    audited meaning; ``"array"``/``"auto"`` trade that ledger for the
-    vectorized batched decider.
+    Sweeps verify on prebuilt per-node views, so the campaign cost
+    ledgers (``views.built`` per full sweep) keep their audited meaning
+    even for schemes with a batched decider.
     """
 
     def __init__(
-        self,
-        scheme: ProofLabelingScheme,
-        protocol: SelfStabProtocol,
-        backend: str = "views",
+        self, scheme: ProofLabelingScheme, protocol: SelfStabProtocol
     ) -> None:
         self.scheme = scheme
         self.protocol = protocol
-        self.backend = _resolve_backend(backend, scheme)
 
     def configuration(
         self, network: Network, states: Mapping[int, Any]
@@ -136,32 +116,16 @@ class PlsDetector:
         _metrics.inc("detector.sweeps")
         config = self.configuration(network, states)
         certs = self.certificates(network, states)
-        if self.backend == "views":
-            # Build the views explicitly so the sweep stays on the
-            # per-node path (and its views.built ledger) even for
-            # schemes with a batched decider.
-            views = self.scheme.build_views(config, certs)
-            verdict = self.scheme.run(config, certificates=certs, views=views)
-        else:
-            verdict = self.scheme.run(config, certificates=certs)
+        views = self.scheme.build_views(config, certs)
+        verdict = self.scheme.run(config, certificates=certs, views=views)
         legitimate = self.scheme.language.is_member(config)
         return DetectionReport(verdict=verdict, legitimate=legitimate)
 
     def session(
-        self,
-        network: Network,
-        states: Mapping[int, Any],
-        backend: str | None = None,
+        self, network: Network, states: Mapping[int, Any]
     ) -> "DetectionSession":
-        """Open an incremental detection session at the given registers.
-
-        ``backend`` selects how sweeps verify (see
-        :class:`DetectionSession`): ``"views"``, ``"array"``, or
-        ``"auto"``; default is the detector's own backend.
-        """
-        if backend is None:
-            backend = self.backend
-        return DetectionSession(self, network, states, backend=backend)
+        """Open an incremental detection session at the given registers."""
+        return DetectionSession(self, network, states)
 
 
 class DetectionSession:
@@ -180,21 +144,10 @@ class DetectionSession:
     (e.g. by handing them to another scheme) raises
     :class:`~repro.errors.SchemeError` instead of mis-verifying.
 
-    ``backend`` selects the sweep machinery:
-
-    ``"views"`` (default)
-        The incremental dict path above: cached per-node views, O(ball)
-        refreshes, per-node verification.
-    ``"array"``
-        No views at all.  Updates touch only the changed nodes' outputs
-        and certificates, and each verdict comes from
-        :meth:`~repro.core.scheme.ProofLabelingScheme.run` without
-        views — the scheme's vectorized batched decider
-        (:mod:`repro.core.batch`), which is verdict-identical by
-        contract.  Fastest when the scheme supports batch.
-    ``"auto"``
-        ``"array"`` exactly when the scheme has a batched decider, else
-        ``"views"``.
+    Every sweep verifies on those views through
+    :meth:`~repro.core.scheme.ProofLabelingScheme.run`, whatever decider
+    the scheme has, so each full build or refresh shows in the
+    ``views.built`` ledger the campaigns audit.
     """
 
     def __init__(
@@ -202,7 +155,6 @@ class DetectionSession:
         detector: PlsDetector,
         network: Network,
         states: Mapping[int, Any],
-        backend: str = "views",
     ) -> None:
         self.detector = detector
         self.network = network
@@ -222,10 +174,7 @@ class DetectionSession:
         self._config = Configuration.build(
             network.graph, dict(self._outputs), ids=network.ids
         )
-        self.backend = _resolve_backend(backend, scheme)
-        self._views: ViewSet | None = None
-        if self.backend == "views":
-            self._views = scheme.build_views(self._config, self._certs)
+        self._views: ViewSet = scheme.build_views(self._config, self._certs)
         self._verdict: Verdict | None = None
 
     # -- state access -------------------------------------------------------
@@ -285,10 +234,9 @@ class DetectionSession:
         if output_changed:
             self._config = self._config.with_labeling(dict(self._outputs))
         if touched:
-            if self._views is not None:
-                self._views = self.detector.scheme.refresh_views(
-                    self._config, self._certs, self._views, touched
-                )
+            self._views = self.detector.scheme.refresh_views(
+                self._config, self._certs, self._views, touched
+            )
             self._verdict = None
         return touched
 
@@ -297,8 +245,6 @@ class DetectionSession:
     def verify(self) -> Verdict:
         """The verdict at the current registers (cached until they change)."""
         if self._verdict is None:
-            # Array backend: no views were built, so `run` dispatches to
-            # the scheme's batched decider (per-node fallback included).
             self._verdict = self.detector.scheme.run(
                 self._config, certificates=self._certs, views=self._views
             )

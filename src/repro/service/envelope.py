@@ -56,7 +56,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
-from typing import Any
+from typing import Any, Mapping
 
 from repro.core.labeling import Labeling
 from repro.errors import CanonicalError, EnvelopeError, ReplayError
@@ -198,14 +198,16 @@ class ProofEnvelope:
     ``params`` must already be coerced (plain numbers, as
     :meth:`repro.core.catalog.SchemeSpec.resolve_params` returns them);
     the service re-validates against the spec on submission regardless.
-    ``certificates`` of ``None`` means "run the honest marker".
+    ``certificates`` of ``None`` means "run the honest marker"; any
+    other node-keyed mapping (a decoded dict, or a prover's
+    :class:`~repro.core.arrays.CertificateColumns`) is encoded as given.
     """
 
     scheme: str
     params: dict[str, Any]
     graph: Graph
     labeling: Labeling
-    certificates: dict[int, Any] | None = None
+    certificates: Mapping[int, Any] | None = None
     nonce: str = ""
     version: str = ENVELOPE_FORMAT
     #: Memoised part hashes (graph/labeling/certs/body), shared across

@@ -476,7 +476,7 @@ def build_envelope(
         ) from None
     from repro.core.batch import batch_prove
 
-    certificates = dict(batch_prove(scheme, member)) if honest_certificates else None
+    certificates = batch_prove(scheme, member) if honest_certificates else None
     labeling = member.labeling
     if corrupt:
         labeling = labeling.corrupted(

@@ -12,8 +12,6 @@ adversarially junk-filled registers alike.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core import catalog
@@ -220,75 +218,6 @@ class TestEntryPointLedger:
         assert views.backend == "views"
         assert array == views
         assert hash(array) == hash(views)
-
-
-class TestBackendEquivalence:
-    """views / array / auto detector backends must agree verdict-for-verdict."""
-
-    def _session(self, backend, seed=11):
-        from repro.graphs.generators import random_tree
-        from repro.local.network import Network
-        from repro.selfstab.campaign import FrozenCertifiedProtocol
-        from repro.selfstab.detector import PlsDetector
-        from repro.selfstab.model import run_until_silent
-
-        rng = make_rng(seed)
-        spec = catalog.get("spanning-tree-ptr")
-        graph = random_tree(12, rng)
-        scheme = spec.build(graph=graph, rng=rng)
-        member = scheme.language.member_configuration(graph, rng=rng)
-        certs = scheme.prove(member)
-        network = Network(graph)
-        protocol = FrozenCertifiedProtocol(scheme, member, certs)
-        silent = run_until_silent(network, protocol).states
-        detector = PlsDetector(scheme, protocol, backend=backend)
-        return detector.session(network, silent), silent
-
-    @pytest.mark.parametrize("backend", ["array", "auto"])
-    def test_detection_session_matches_views_backend(self, backend):
-        reference, silent = self._session("views")
-        candidate, _ = self._session(backend)
-        baseline = reference.verify()
-        assert candidate.verify().rejects == baseline.rejects
-        # Corrupt one register and resweep incrementally on both.
-        bad = dict(silent)
-        victim = next(iter(bad))
-        state, _cert = bad[victim]
-        bad[victim] = (state, ("corrupt", 7))
-        ref_report = reference.sweep(bad, changed=[victim], check_membership=False)
-        cand_report = candidate.sweep(bad, changed=[victim], check_membership=False)
-        assert cand_report.verdict.rejects == ref_report.verdict.rejects
-
-    def test_unknown_backend_rejected(self):
-        from repro.errors import SimulationError
-        from repro.selfstab.campaign import FrozenCertifiedProtocol
-        from repro.selfstab.detector import PlsDetector
-
-        rng = make_rng(2)
-        scheme, config = _fitted(catalog.get("leader"), rng)
-        protocol = FrozenCertifiedProtocol(scheme, config, scheme.prove(config))
-        with pytest.raises(SimulationError):
-            PlsDetector(scheme, protocol, backend="bogus")
-
-    @pytest.mark.parametrize("backend", ["views", "array", "auto"])
-    def test_rejection_counter_backends_agree(self, backend):
-        from repro.errorsensitive.decider import RejectionCounter
-
-        rng = make_rng(21)
-        scheme, config = _fitted(catalog.get("spanning-tree-list"), rng)
-        certs = scheme.prove(config)
-        counter = RejectionCounter(scheme, config, certs, backend=backend)
-        assert counter.verdict(config.labeling).all_accept
-
-    def test_isolated_equals_infinity_guard(self):
-        """β̂ of math.inf is never produced: min over empty sample sets
-        is 0.0 (regression guard for the report's default)."""
-        from repro.errorsensitive.report import SchemeSensitivity
-
-        empty = SchemeSensitivity(
-            scheme="x", declared=None, samples=(), skipped=0
-        )
-        assert empty.beta == 0.0 and not math.isinf(empty.beta)
 
 
 class TestColoringFullEquivalence:

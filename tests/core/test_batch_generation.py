@@ -23,7 +23,6 @@ from repro.core.batch import (
     try_batch_member_configuration,
     try_batch_prove,
 )
-from repro.errors import LanguageError
 from repro.graphs import Graph
 from repro.graphs.generators import random_tree
 from repro.graphs.weighted import weighted_copy
@@ -56,18 +55,14 @@ def _generate_both(language, graph, rng):
     """
     r_dict, r_batch = rng, copy.deepcopy(rng)
     try:
-        dict_config = language.member_configuration(
-            graph, rng=r_dict, backend="views"
-        )
+        dict_config = language._dict_member_configuration(graph, None, r_dict)
         dict_outcome = ("ok", dict_config)
     except Exception as error:  # noqa: BLE001 — the exception IS the outcome
         dict_outcome = ("err", error)
     try:
         config = try_batch_member_configuration(language, graph, rng=r_batch)
         if config is None:
-            config = language.member_configuration(
-                graph, rng=r_batch, backend="views"
-            )
+            config = language._dict_member_configuration(graph, None, r_batch)
         batch_outcome = ("ok", config)
     except Exception as error:  # noqa: BLE001
         batch_outcome = ("err", error)
@@ -236,28 +231,24 @@ class TestBackendSelection:
         graph = spec.sample_graph(12, spawn(rng, 1))
         language = spec.build(graph=graph, rng=spawn(rng, 2)).language
         with metrics.collect("t") as collected:
-            language.member_configuration(
-                graph, rng=spawn(rng, 3), backend="views"
+            config = language._dict_member_configuration(
+                graph, None, spawn(rng, 3)
             )
         assert collected.counter("generate.batch") == 0
+        assert config.labeling.arrays is None
 
     def test_array_backend_requires_a_kernel(self):
         spec = catalog.get("mst")  # no marker kernel registered
         rng = make_rng(6)
         graph = spec.sample_graph(10, spawn(rng, 1))
         scheme = spec.build(graph=graph, rng=spawn(rng, 2))
-        with pytest.raises(LanguageError, match="no vectorized marker"):
-            scheme.language.member_configuration(
-                graph, rng=spawn(rng, 3), backend="array"
+        assert not supports_batch_marker(scheme.language)
+        assert (
+            try_batch_member_configuration(
+                scheme.language, graph, rng=spawn(rng, 3)
             )
-
-    def test_unknown_backend_rejected(self):
-        spec = catalog.get("leader")
-        rng = make_rng(7)
-        graph = spec.sample_graph(10, spawn(rng, 1))
-        scheme = spec.build(graph=graph, rng=spawn(rng, 2))
-        with pytest.raises(LanguageError, match="unknown marker backend"):
-            scheme.language.member_configuration(graph, backend="bogus")
+            is None
+        )
 
     def test_auto_backend_takes_the_array_path(self):
         from repro.obs import metrics

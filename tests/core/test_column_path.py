@@ -230,8 +230,8 @@ class TestColumnBackedConfiguration:
         graph = random_tree(n, make_rng(41))
         scheme = catalog.get(name).build(graph=graph, rng=make_rng(42))
         columns = scheme.language.member_configuration(graph, rng=make_rng(43))
-        dicts = scheme.language.member_configuration(
-            graph, rng=make_rng(43), backend="views"
+        dicts = scheme.language._dict_member_configuration(
+            graph, None, make_rng(43)
         )
         return columns, dicts
 

@@ -1,11 +1,14 @@
-"""Tests for the scheme base class and certificate assignments."""
+"""Tests for the scheme base class, honest certificates and their sizes."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.arrays import CertificateColumns
+from repro.core.batch import batch_prove
 from repro.errors import SchemeError
-from repro.graphs.generators import path_graph
+from repro.graphs.generators import path_graph, random_tree
+from repro.obs import metrics as obs
 from repro.schemes.agreement import AgreementLanguage, AgreementScheme
 from repro.schemes.spanning_tree import SpanningTreePointerScheme
 from repro.util.rng import make_rng
@@ -15,21 +18,11 @@ class TestAssignment:
     def test_sizes(self):
         scheme = AgreementScheme(AgreementLanguage(domain=1 << 20))
         config = scheme.language.member_configuration(path_graph(4), rng=make_rng(1))
-        assignment = scheme.assignment(config)
-        assert set(assignment) == set(config.graph.nodes)
-        assert assignment.max_bits >= assignment.bits(0) > 0
-        assert assignment.total_bits == sum(
-            assignment.bits(v) for v in config.graph.nodes
-        )
-
-    def test_replaced(self):
-        scheme = AgreementScheme()
-        config = scheme.language.member_configuration(path_graph(3))
-        assignment = scheme.assignment(config)
-        new = assignment.replaced(0, 12345)
-        assert new[0] == 12345
-        assert assignment[0] != 12345 or assignment[0] == 12345  # original intact
-        assert new[1] == assignment[1]
+        certificates = batch_prove(scheme, config)
+        assert set(certificates) == set(config.graph.nodes)
+        sizes = [scheme.certificate_bits(c) for c in certificates.values()]
+        assert scheme.proof_bits(certificates) == (max(sizes), sum(sizes))
+        assert min(sizes) > 0
 
     def test_prover_must_cover_all_nodes(self):
         class Sloppy(AgreementScheme):
@@ -40,8 +33,21 @@ class TestAssignment:
 
         scheme = Sloppy()
         config = scheme.language.member_configuration(path_graph(3))
-        with pytest.raises(SchemeError):
-            scheme.assignment(config)
+        with pytest.raises(SchemeError, match="skipped nodes"):
+            batch_prove(scheme, config)
+        with pytest.raises(SchemeError, match="skipped nodes"):
+            scheme.proof_size_bits(config)
+
+    def test_kernel_columns_are_not_materialized(self):
+        scheme = SpanningTreePointerScheme()
+        config = scheme.language.member_configuration(
+            random_tree(64, make_rng(3)), rng=make_rng(4)
+        )
+        with obs.collect("t") as metrics:
+            certificates = batch_prove(scheme, config)
+            assert isinstance(certificates, CertificateColumns)
+            assert metrics.counter("prove.batch") == 1
+            assert metrics.counter("columns.materialized") == 0
 
     def test_run_with_custom_certificates(self):
         scheme = AgreementScheme()
@@ -53,7 +59,10 @@ class TestAssignment:
     def test_proof_size_bits(self):
         scheme = SpanningTreePointerScheme()
         config = scheme.language.member_configuration(path_graph(8), rng=make_rng(2))
-        assert scheme.proof_size_bits(config) == scheme.assignment(config).max_bits
+        certificates = batch_prove(scheme, config)
+        assert scheme.proof_size_bits(config) == max(
+            scheme.certificate_bits(c) for c in certificates.values()
+        )
 
     def test_repr(self):
         scheme = SpanningTreePointerScheme()

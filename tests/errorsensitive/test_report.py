@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core import catalog
@@ -130,6 +132,16 @@ class TestMeasurement:
         assert report.entry("es-spanning-tree").declared is True
         with pytest.raises(SchemeError):
             report.entry("nope")
+
+    def test_isolated_equals_infinity_guard(self):
+        """β̂ of math.inf is never produced: min over empty sample sets
+        is 0.0 (regression guard for the report's default)."""
+        from repro.errorsensitive.report import SchemeSensitivity
+
+        empty = SchemeSensitivity(
+            scheme="x", declared=None, samples=(), skipped=0
+        )
+        assert empty.beta == 0.0 and not math.isinf(empty.beta)
 
 
 class TestRepairScheme:

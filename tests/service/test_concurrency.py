@@ -79,6 +79,12 @@ def _run_threads(workers):
         raise failures[0]
 
 
+def _submit_once(url, envelope):
+    """One submit on a client of its own, closed once the reply is in."""
+    with CertifyClient(url) as client:
+        client.submit(envelope)
+
+
 def _verdict(result) -> tuple:
     """The order-independent fields a verdict must be judged by.
 
@@ -342,9 +348,7 @@ class TestBackpressure:
         service = _BlockingService()
         envelope = build_envelope("bipartite", n=8, seed=52)
         with _serving(service, max_inflight=1) as (_, url):
-            holder = threading.Thread(
-                target=lambda: CertifyClient(url).submit(envelope)
-            )
+            holder = threading.Thread(target=_submit_once, args=(url, envelope))
             holder.start()
             try:
                 assert service.entered.wait(timeout=10)
@@ -371,12 +375,7 @@ class TestBackpressure:
             build_envelope("bipartite", n=10, seed=56, corrupt=2),
         ]
         with _serving(service, max_inflight=1) as (_, url):
-
-            def hold():
-                with CertifyClient(url) as client:
-                    client.submit(occupant)
-
-            holder = threading.Thread(target=hold)
+            holder = threading.Thread(target=_submit_once, args=(url, occupant))
             holder.start()
             try:
                 assert service.entered.wait(timeout=10)
@@ -400,9 +399,7 @@ class TestBackpressure:
         service = _BlockingService()
         envelope = build_envelope("bipartite", n=8, seed=53)
         with _serving(service, max_inflight=1) as (_, url):
-            holder = threading.Thread(
-                target=lambda: CertifyClient(url).submit(envelope)
-            )
+            holder = threading.Thread(target=_submit_once, args=(url, envelope))
             holder.start()
             try:
                 assert service.entered.wait(timeout=10)

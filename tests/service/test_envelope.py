@@ -14,6 +14,7 @@ import re
 
 import pytest
 
+from repro.core.arrays import CertificateColumns
 from repro.core.labeling import Labeling
 from repro.errors import CanonicalError, EnvelopeError, ReplayError
 from repro.graphs.generators import (
@@ -320,6 +321,17 @@ class TestProofEnvelope:
         assert back.to_bytes() == env.to_bytes()
         assert back.body_hash == env.body_hash
         assert back.nullifier == env.nullifier
+
+    @pytest.mark.parametrize("name", ["spanning-tree-ptr", "bfs-tree", "leader"])
+    def test_tree_envelopes_carry_the_prover_columns(self, name):
+        """Honest tree certificates travel as the prover returned them;
+        the wire form and its decoded dict are the same envelope."""
+        env = build_envelope(name, n=24, seed=3)
+        assert isinstance(env.certificates, CertificateColumns)
+        back = ProofEnvelope.from_bytes(env.to_bytes())
+        assert back == env
+        assert isinstance(back.certificates, dict)
+        assert back.body_hash == env.body_hash
 
     def test_body_hash_ignores_nonce(self):
         a, b = _envelope("n1"), _envelope("n2")

@@ -72,8 +72,8 @@ class TestCertify:
         assert "all accept = True" in out
 
     def test_certify_sizes_each_certificate_once(self, capsys, monkeypatch):
-        """The proof-size line reads both ``max_bits`` and ``total_bits``;
-        they share one sizing pass over the assignment."""
+        """The proof-size line reads both the maximum and the total;
+        they share one sizing pass over the certificates."""
         from repro.core.scheme import ProofLabelingScheme
 
         sized = []
@@ -88,6 +88,19 @@ class TestCertify:
         assert main(["certify", "spanning-tree-ptr", "--n", str(n)]) == 0
         assert "proof size" in capsys.readouterr().out
         assert len(sized) == n
+
+    @pytest.mark.parametrize("name", ["spanning-tree-ptr", "bfs-tree", "leader"])
+    def test_tree_schemes_decide_on_the_prover_columns(self, name, capsys):
+        """``certify`` hands the decider the prover's columns as they
+        came: one batched decision that interns no value."""
+        from repro.obs import metrics as obs
+
+        with obs.collect("t") as metrics:
+            assert main(["certify", name, "--family", "random_tree",
+                         "--n", "64"]) == 0
+        assert "all accept = True" in capsys.readouterr().out
+        assert metrics.counter("decide.batch") == 1
+        assert metrics.counter("decide.batch.interned") == 0
 
     def test_certify_weighted_scheme(self, capsys):
         assert main(["certify", "mst", "--n", "10", "--seed", "1"]) == 0
@@ -494,6 +507,66 @@ class TestServiceCommands:
             server.shutdown()
             server.server_close()
             service.close()
+
+    def test_submit_nonce_rewrites_the_json_without_a_decode(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``--nonce`` sets the nonce on the loaded JSON object: a
+        canonical file goes out as exactly ``with_nonce(...).to_bytes()``,
+        and the server answers it from its wire-key index, with no
+        envelope decoded on either side."""
+        import json
+        import threading
+
+        from repro.cli import _load_submit_payloads
+        from repro.obs import metrics as obs
+        from repro.service import CertificationService, build_envelope
+        from repro.service.envelope import WireBody
+        from repro.service.httpd import make_server
+
+        envelope = build_envelope("leader", n=12, seed=6)
+        out = tmp_path / "env.json"
+        out.write_bytes(envelope.to_bytes())
+        args = build_parser().parse_args(["submit", str(out), "--nonce", "x"])
+        assert _load_submit_payloads(args) == [
+            envelope.with_nonce("x").to_bytes()
+        ]
+
+        service = CertificationService()
+        server = make_server(port=0, service=service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = "http://%s:%d" % server.server_address[:2]
+        try:
+            assert main(["submit", str(out), "--url", url]) == 0
+            capsys.readouterr()
+
+            def no_decode(self):
+                raise AssertionError("an envelope was decoded")
+
+            monkeypatch.setattr(WireBody, "decode", no_decode)
+            before = obs.counter_total("service.envelope.loaded")
+            assert main(["submit", str(out), "--url", url,
+                         "--nonce", "x"]) == 0
+            assert json.loads(capsys.readouterr().out)["cache_hit"]
+            assert obs.counter_total("service.envelope.loaded") == before
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "not JSON"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"n": NaN}', "not canonically serializable"),
+    ])
+    def test_submit_nonce_refuses_a_non_envelope_before_sending(
+        self, tmp_path, text, message
+    ):
+        out = tmp_path / "env.json"
+        out.write_text(text)
+        with pytest.raises(SystemExit, match=message):
+            main(["submit", str(out), "--url", "http://127.0.0.1:1",
+                  "--nonce", "x"])
 
     @pytest.mark.parametrize("setting", [
         ["--cache-size", "0"],
