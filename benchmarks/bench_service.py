@@ -15,7 +15,11 @@ all three on the headline workload (``spanning-tree-ptr`` on
     validation, nullifier spend, deterministic scheme rebuild, and the
     batched array decider.  ``build_envelope`` hands the envelope the
     prover's ``CertificateColumns``, so this cell does not exercise the
-    wire's decoded-dict intake.
+    wire's decoded-dict intake.  Every rep asserts zero
+    ``decide.batch.interned``: the certificates and the configuration's
+    id column decode with no per-node work, a fall-back to the
+    interning loop (about 0.2 s against 0.01 s at n = 100 000) that
+    the ratio check could miss under its noise floor.
 ``cached_s``
     The same envelope resubmitted under a fresh nonce.  The measurement
     asserts — via the ``service.cache.hit`` and ``decide.calls``
@@ -130,11 +134,14 @@ def measure_cell(n: int) -> dict[str, float]:
     for rep in range(REPS):
         fresh = CertificationService() if rep else service
         probe = envelope.with_nonce(f"cold-{rep}") if rep else envelope
-        start = time.perf_counter()
-        result = fresh.submit(probe)
-        cold = min(cold, time.perf_counter() - start)
+        with obs.collect("bench") as metrics:
+            start = time.perf_counter()
+            result = fresh.submit(probe)
+            cold = min(cold, time.perf_counter() - start)
         if result.cache_hit or not result.accepted:
             raise SystemExit(f"{SCHEME} n={n}: cold submit not cold/accepted")
+        if metrics.counter("decide.batch.interned") != 0:
+            raise SystemExit(f"{SCHEME} n={n}: cold decide interned values")
         if rep == 0:
             _assert_cold_matches_in_process(envelope, result)
 

@@ -204,8 +204,7 @@ class BatchContext:
     def uid_codes(self) -> "np.ndarray":
         """``int64`` column of interned node uids."""
         if self._uid_codes is None:
-            uid = self.config.uid
-            self._uid_codes = self.codes_of(uid(v) for v in range(self.n))
+            self._uid_codes = self.codes_of(self.config.id_column.tolist())
         return self._uid_codes
 
     def tree_certificates(
@@ -224,7 +223,7 @@ class BatchContext:
         from repro.core.arrays import CertificateColumns
 
         n, certs, uid = self.n, self.certificates, self.config.id_column
-        if isinstance(certs, CertificateColumns) and uid is not None:
+        if isinstance(certs, CertificateColumns):
             names = certs.arrays.fields
             columns = [certs.arrays.column(name) for name in names]
             if (
@@ -495,11 +494,11 @@ def try_batch_member_configuration(
     type, or the kernel declined before touching ``rng``
     (:class:`BatchFallback`).  On success the configuration equals the
     dict path's — same labeling, same ids, same rng stream position —
-    while keeping the marker's column and, for default ids, an id
-    column; the ``is_member`` re-check is skipped: kernels are
-    member-by-construction, pinned against the oracle by the generation
-    equivalence tests.  Charges ``generate.batch``/``.nodes``; a decline
-    charges ``generate.batch.fallbacks``.
+    while keeping the marker's column; the ``is_member`` re-check is
+    skipped: kernels are member-by-construction, pinned against the
+    oracle by the generation equivalence tests.  Charges
+    ``generate.batch``/``.nodes``; a decline charges
+    ``generate.batch.fallbacks``.
     """
     fn = marker_for(language)
     if fn is None:
@@ -511,13 +510,7 @@ def try_batch_member_configuration(
         return None
     from repro.core.labeling import Configuration, Labeling
 
-    labeling = Labeling.from_arrays(arrays.freeze())
-    if ids:
-        config = Configuration.build(graph, labeling, ids=ids)
-    else:
-        id_column = np.arange(1, graph.n + 1, dtype=np.int64)
-        id_column.flags.writeable = False
-        config = Configuration.from_columns(graph, labeling, id_column)
+    config = Configuration(graph, Labeling.from_arrays(arrays.freeze()), ids)
     _metrics.inc("generate.batch")
     _metrics.inc("generate.batch.nodes", graph.n)
     return config

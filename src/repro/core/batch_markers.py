@@ -38,7 +38,7 @@ import random
 import numpy as np
 
 from repro.approx.counters import counter_value, mantissa_bits_for, round_up_counter
-from repro.core.arrays import ArrayLabeling, CertificateColumns, column_from_values
+from repro.core.arrays import ArrayLabeling, CertificateColumns
 from repro.core.batch import (
     BatchFallback,
     batch_marker,
@@ -59,14 +59,6 @@ from repro.graphs.traversal_arrays import (
 )
 
 __all__ = []  # kernels are reached through the registry, not imports
-
-
-def _uid_column(config):
-    """Every node's uid: the id column, or the tightest one over ``ids``."""
-    if config.id_column is not None:
-        return config.id_column
-    n = config.graph.n
-    return column_from_values((config.ids[v] for v in range(n)), n)
 
 
 def _tree_columns(uids, root, dist, parent=None):
@@ -343,7 +335,7 @@ def _spanning_tree_ptr_prover(scheme, config):
     dist = take_dist(config.graph.csr(), root)
     if dist is None or roots.size != 1 or not _steps_down(dist, parent, root):
         dist = pointer_depths(parent)
-    return _tree_columns(_uid_column(config), root, dist)
+    return _tree_columns(config.id_column, root, dist)
 
 
 @batch_prover(("repro.schemes.bfs_tree", "BfsTreeScheme"))
@@ -358,7 +350,7 @@ def _bfs_tree_prover(scheme, config):
     dist = take_dist(csr, root)
     if dist is None:
         dist, _, _ = bfs_arrays(csr, root)
-    return _tree_columns(_uid_column(config), root, dist)
+    return _tree_columns(config.id_column, root, dist)
 
 
 @batch_prover(("repro.schemes.leader", "LeaderScheme"))
@@ -370,7 +362,7 @@ def _leader_prover(scheme, config):
     leaders = np.flatnonzero(is_bool & marked)  # the states that are True
     root = int(leaders[0]) if leaders.size else 0
     dist, parent, _ = bfs_arrays(config.graph.csr(), root)
-    return _tree_columns(_uid_column(config), root, dist, parent)
+    return _tree_columns(config.id_column, root, dist, parent)
 
 
 @batch_prover(("repro.schemes.acyclic", "AcyclicScheme"))
@@ -426,7 +418,7 @@ def _spanning_tree_list_prover(scheme, config):
         ([0], np.cumsum(np.bincount(csr.owners[tj], minlength=n)))
     )
     dist, parent, _ = bfs_arrays_indexed(n, sub_indptr, csr.indices[tj], 0)
-    ids = config.ids
+    ids = config.id_column.tolist()
     kkp = scheme.visibility is Visibility.KKP
     echoes = [() if kkp else None] * n
     if kkp:
@@ -459,7 +451,7 @@ def _eccentricity_prover(scheme, config):
         if int(dist.min()) < 0:
             raise BatchFallback("disconnected graph")  # dict raises GraphError
         ecc.append(int(dist.max()))
-    ids = config.ids
+    ids = config.id_column.tolist()
     center = min(range(n), key=lambda v: (ecc[v], ids[v]))
     dist, _, _ = bfs_arrays(csr, center)
     center_uid = ids[center]
@@ -471,7 +463,7 @@ def _approx_dominating_set_prover(scheme, config):
     n = config.graph.n
     if n == 0:
         raise BatchFallback("empty graph")
-    ids = config.ids
+    ids = config.id_column.tolist()
     root = min(range(n), key=lambda v: ids[v])
     dist, parent, _ = bfs_arrays(config.graph.csr(), root)
     depth = int(dist.max())
@@ -507,7 +499,7 @@ def _approx_tree_weight_prover(scheme, config):
     _, port, parent = pointer_states(config)
     depth = pointer_depths(parent)
     roots = np.flatnonzero(parent < 0)
-    ids = config.ids
+    ids = config.id_column.tolist()
     root_uid = ids[int(roots[0])] if roots.size else ids[0]
     d0 = np.where(depth < 0, 0, depth)
     mantissa = mantissa_bits_for(int(d0.max()), scheme.alpha)

@@ -10,10 +10,10 @@ The *Hamming distance* between two labelings of the same graph is the
 number of nodes whose states differ — the configuration-space metric used
 in corruption experiments.
 
-Both types can also hold columns instead of dicts: a labeling built by
-:meth:`Labeling.from_arrays` keeps a marker kernel's state column, and a
-configuration built by :meth:`Configuration.from_columns` keeps an id
-column.  The dicts are derived on first read — charged to the
+A configuration keeps its ids as one column (``id_column[v]`` is node
+``v``'s uid), however it was built, and a labeling built by
+:meth:`Labeling.from_arrays` keeps a marker kernel's state column.  The
+``ids`` and state dicts are derived on first read — charged to the
 ``columns.materialized`` counter — and equal, hash and pickle exactly
 like dict-built ones, while the batched kernels read the columns
 directly.
@@ -22,14 +22,17 @@ directly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
+import numpy as np
+
+from repro.core.arrays import column_from_values
 from repro.errors import IdentityError, LabelingError
 from repro.graphs.graph import Graph
 from repro.obs import metrics as _metrics
 from repro.util.bits import obj_bit_size
-from repro.util.idspace import contiguous_ids, validate_ids
+from repro.util.idspace import validate_ids
 
 __all__ = ["Configuration", "Labeling"]
 
@@ -98,6 +101,12 @@ class Labeling(Mapping[int, Any]):
         arrays = self._arrays
         return len(self._states) if arrays is None else arrays.n
 
+    def values(self) -> Any:
+        """Every state, in iteration order; a column-built labeling reads
+        its column without building the dict."""
+        arrays = self._arrays
+        return self._states.values() if arrays is None else arrays.values("state")
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Labeling):
             return NotImplemented
@@ -157,7 +166,7 @@ class Labeling(Mapping[int, Any]):
         """
         from repro.util.canonical import encode_pairs
 
-        return encode_pairs(self._states)
+        return encode_pairs(self)
 
     @classmethod
     def from_obj(cls, obj: Any) -> "Labeling":
@@ -181,67 +190,85 @@ class Labeling(Mapping[int, Any]):
         return max((obj_bit_size(s) for s in self._states.values()), default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Configuration:
     """A labeled, identified network: the object languages judge.
 
-    Build with :meth:`Configuration.build` for defaulted ids and loose
-    state mappings.
+    The ids are held as :attr:`id_column`, a read-only column with
+    ``id_column[v]`` the uid of node ``v``: ``1..n`` by default, else
+    the given mapping, validated and stored as ``int64`` (or ``object``
+    for ids of 63 bits or more).  The ``ids`` dict is derived on first
+    read, charged to ``columns.materialized``.  Build with
+    :meth:`Configuration.build` for loose state mappings.
     """
 
     graph: Graph
     labeling: Labeling
-    ids: dict[int, int] = field(default_factory=dict)
+    id_column: np.ndarray
 
-    def __post_init__(self) -> None:
-        _check_coverage(self.graph, self.labeling)
-        if not self.ids:
-            object.__setattr__(self, "ids", contiguous_ids(list(self.graph.nodes)))
-        validate_ids(list(self.graph.nodes), self.ids)
+    def __init__(
+        self,
+        graph: Graph,
+        labeling: Labeling,
+        ids: Mapping[int, int] | None = None,
+    ) -> None:
+        _check_coverage(graph, labeling)
+        if ids:
+            nodes = list(graph.nodes)
+            validate_ids(nodes, ids)
+            id_column = column_from_values((ids[v] for v in nodes), graph.n)
+        else:
+            id_column = np.arange(1, graph.n + 1, dtype=np.int64)
+        self._set(graph, labeling, id_column)
+
+    def _set(self, graph: Graph, labeling: Labeling, id_column: np.ndarray) -> None:
+        id_column.flags.writeable = False
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "labeling", labeling)
+        object.__setattr__(self, "id_column", id_column)
 
     @classmethod
     def from_columns(
-        cls, graph: Graph, labeling: Labeling, id_column: Any
+        cls, graph: Graph, labeling: Labeling, id_column: np.ndarray
     ) -> "Configuration":
         """The configuration with ``ids[v] == id_column[v]``.
 
         ``id_column`` is an integer column that is a valid assignment by
         construction (distinct and positive, like the contiguous ids
-        ``1..n``); it is kept, and ``ids`` is built on first read.
+        ``1..n``); it is kept unchecked and made read-only.
         """
         _check_coverage(graph, labeling)
         if len(id_column) != graph.n:
             raise IdentityError(f"{len(id_column)} ids for {graph.n} nodes")
         config = cls.__new__(cls)
-        object.__setattr__(config, "graph", graph)
-        object.__setattr__(config, "labeling", labeling)
-        object.__setattr__(config, "_id_column", id_column)
+        config._set(graph, labeling, id_column)
         return config
 
     def __getattr__(self, name: str) -> Any:
-        # Only reached for unset attributes: a columns-built
-        # configuration sets ``ids`` on first read.
-        column = self.__dict__.get("_id_column")
-        if name != "ids" or column is None:
+        # Only reached for unset attributes: ``ids`` is set on first read.
+        if name != "ids":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        ids = dict(enumerate(column.tolist()))
+        ids = dict(enumerate(self.id_column.tolist()))
         _metrics.inc("columns.materialized", len(ids))
         object.__setattr__(self, "ids", ids)
         return ids
 
-    def __getstate__(self) -> dict[str, Any]:
-        state = {"graph": self.graph, "labeling": self.labeling, "ids": self.ids}
-        for name, value in self.__dict__.items():
-            if name not in state and name != "_id_column":
-                state[name] = value
-        return state
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        # A tuple compares its items by identity first, as the generated
+        # dataclass ``__eq__`` did: a shared graph is not compared edge
+        # by edge.
+        return (self.graph, self.labeling, self.id_column.tolist()) == (
+            other.graph,
+            other.labeling,
+            other.id_column.tolist(),
+        )
 
-    @property
-    def id_column(self) -> Any:
-        """The id column of a :meth:`from_columns` configuration, else ``None``."""
-        return self.__dict__.get("_id_column")
+    def __reduce__(self) -> tuple[Any, ...]:
+        return Configuration.from_columns, (self.graph, self.labeling, self.id_column)
 
     @classmethod
     def build(
@@ -256,7 +283,7 @@ class Configuration:
             labeling = states
         else:
             labeling = Labeling(states)
-        return cls(graph=graph, labeling=labeling, ids=dict(ids) if ids else {})
+        return cls(graph, labeling, ids)
 
     @property
     def n(self) -> int:
@@ -277,12 +304,7 @@ class Configuration:
     def with_labeling(self, labeling: Labeling | Mapping[int, Any]) -> "Configuration":
         if not isinstance(labeling, Labeling):
             labeling = Labeling(labeling)
-        if self.id_column is not None:
-            config = Configuration.from_columns(self.graph, labeling, self.id_column)
-        else:
-            config = Configuration(
-                graph=self.graph, labeling=labeling, ids=dict(self.ids)
-            )
+        config = Configuration.from_columns(self.graph, labeling, self.id_column)
         # The verifier's cached view scaffold depends only on the graph
         # and ids, both shared with the derived configuration; handing it
         # down keeps incremental re-verification (detection sessions,
@@ -293,7 +315,7 @@ class Configuration:
         return config
 
     def with_ids(self, ids: Mapping[int, int]) -> "Configuration":
-        return Configuration(graph=self.graph, labeling=self.labeling, ids=dict(ids))
+        return Configuration(self.graph, self.labeling, ids)
 
 
 def _check_coverage(graph: Graph, labeling: Labeling) -> None:

@@ -296,7 +296,7 @@ class _Scaffold:
     def __init__(self, config: Configuration) -> None:
         self.graph = config.graph
         self.weighted = self.graph.is_weighted
-        self.uid = [config.uid(v) for v in self.graph.nodes]
+        self.uid = config.id_column.tolist()
         self.uid_ports: dict[int, tuple[int, ...]] | None = None
 
     def ports_by_uid(self) -> dict[int, tuple[int, ...]]:

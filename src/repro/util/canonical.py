@@ -156,9 +156,15 @@ def encode_pairs(mapping: Mapping[int, Any]) -> list:
     mapping — the labeling and certificate-assignment shape.
 
     A column of plain scalars, or of tuples of them, is encoded in bulk.
+    A mapping that iterates in node order is read through ``values()``,
+    which a column-backed mapping serves without building its dict.
     """
-    nodes = sorted(mapping)
-    values = list(map(mapping.__getitem__, nodes))
+    keys = list(mapping)
+    nodes = sorted(keys)
+    if keys == nodes:
+        values = list(mapping.values())
+    else:
+        values = list(map(mapping.__getitem__, nodes))
     types = set(map(type, values))
     if types == {tuple} and _only(chain.from_iterable(values), _PASSTHROUGH):
         values = list(map(list, values))

@@ -16,7 +16,7 @@ import copy
 import pytest
 
 from repro.core import catalog
-from repro.core.arrays import ArrayLabeling
+from repro.core.arrays import column_from_values
 from repro.core.batch import (
     supports_batch_marker,
     supports_batch_prove,
@@ -77,11 +77,13 @@ def _assert_same_outcome(dict_outcome, batch_outcome, r_dict, r_batch):
         return None
     dict_config, config = dict_outcome[1], batch_outcome[1]
     n = dict_config.graph.n
-    # Bit-identical columns, not just equal dicts: same dtype choices.
-    reference = ArrayLabeling.from_labeling(dict_config.labeling, n)
-    batched = ArrayLabeling.from_labeling(config.labeling, n)
-    assert reference == batched
-    assert reference.column("state").dtype == batched.column("state").dtype
+    # Bit-identical columns, not just equal dicts: same dtype choices
+    # and the same Python types cell by cell.
+    reference = column_from_values(map(dict_config.labeling.__getitem__, range(n)), n)
+    batched = column_from_values(map(config.labeling.__getitem__, range(n)), n)
+    assert reference.dtype == batched.dtype
+    assert reference.tolist() == batched.tolist()
+    assert list(map(type, reference.tolist())) == list(map(type, batched.tolist()))
     assert dict_config.ids == config.ids
     # Same rng stream position afterwards.
     assert r_dict.random() == r_batch.random()

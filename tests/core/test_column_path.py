@@ -115,7 +115,7 @@ class TestCertificateColumns:
                 graph, rng.randrange(1, 5), rng=spawn(rng, _trial)
             )
             stale = config.with_labeling(bad.labeling)
-            assert stale.id_column is not None
+            assert stale.id_column is config.id_column
             verdict = _assert_run_matches(scheme, stale, certificates)
             assert verdict.rejects, "a corrupted register must be caught"
 
@@ -239,8 +239,7 @@ class TestColumnBackedConfiguration:
     def test_equal_hash_and_pickle_like_dict_built(self, name):
         columns, dicts = self._pair(name)
         assert columns.labeling.arrays is not None
-        assert columns.id_column is not None
-        assert dicts.labeling.arrays is None and dicts.id_column is None
+        assert dicts.labeling.arrays is None
         # Pickles are byte-identical to the dict-built ones, and read
         # back as dict-built objects.
         assert pickle.dumps(columns.labeling) == pickle.dumps(dicts.labeling)
@@ -346,28 +345,15 @@ class TestNullableColumn:
     def test_values_and_labeling(self):
         arrays = self._arrays()
         assert arrays.values("state") == [3, None, 1, None]
-        assert arrays.value("state", 1) is None and arrays.value("state", 0) == 3
-        assert arrays == ArrayLabeling.from_labeling(
-            {0: 3, 1: None, 2: 1, 3: None}, 4
-        )
         labeling = Labeling.from_arrays(arrays)
         assert labeling == Labeling({0: 3, 1: None, 2: 1, 3: None})
-
-    def test_set_keeps_or_widens_the_kind(self):
-        arrays = self._arrays()
-        arrays.set("state", 0, None)
-        arrays.set("state", 1, 5)
-        assert arrays.values("state") == [None, 5, 1, None]
-        assert arrays.nulls("state") is not None
-        arrays.set("state", 2, "x")
-        assert arrays.column("state").dtype == object
-        assert arrays.nulls("state") is None
-        assert arrays.values("state") == [None, 5, "x", None]
 
     def test_frozen_columns_refuse_writes(self):
         arrays = self._arrays().freeze()
         with pytest.raises(ValueError):
-            arrays.set("state", 0, 1)
+            arrays.column("state")[0] = 1
+        with pytest.raises(ValueError):
+            arrays.nulls("state")[0] = True
 
 
 class TestRawDecoderBounds:

@@ -16,6 +16,7 @@ from repro.core import catalog
 from repro.core.labeling import Configuration
 from repro.core.verifier import decide
 from repro.errors import ReplayError, ServiceError
+from repro.graphs.generators import random_tree
 from repro.obs import metrics as obs
 from repro.service import (
     CertificationResult,
@@ -104,6 +105,27 @@ class TestBatchedRebuild:
         result = service.submit(ProofEnvelope.from_bytes(envelope.to_bytes()))
         verdict = _in_process_verdict(envelope)
         assert result.accepted and verdict.all_accept
+
+
+@pytest.mark.parametrize("name", ["spanning-tree-ptr", "bfs-tree", "leader"])
+def test_in_process_cold_submit_decides_on_columns(name):
+    """An envelope carrying the prover's certificate columns is decided
+    on them: the service's configuration has an id column like the
+    library's, so nothing is interned or materialized."""
+    with obs.collect("t") as metrics:
+        envelope = build_envelope(name, n=1000, graph=random_tree(1000))
+        result = CertificationService().submit(envelope)
+    assert metrics.counter("decide.batch.interned") == 0
+    assert metrics.counter("columns.materialized") == 0
+    spec = catalog.get(name)
+    scheme = spec.build(
+        graph=envelope.graph, rng=make_rng(_rng_seed(envelope.body_hash))
+    )
+    config = Configuration.build(envelope.graph, envelope.labeling)
+    verdict = scheme.run(config, envelope.certificates)
+    assert result.accepted and verdict.all_accept
+    assert result.rejections == verdict.reject_count == 0
+    assert result.backend == verdict.backend == "array"
 
 
 class TestCacheSemantics:
