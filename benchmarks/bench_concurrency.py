@@ -27,10 +27,11 @@ verdict accepted, zero replays, ``server.errors`` empty, and the stats
 ledger exactly balanced (hits + misses == submits).
 
 Like the sibling benchmarks, the committed snapshot at
-``benchmarks/results/BENCH_concurrency.json`` is a *ceiling*:
-``--check`` fails only on cells slower than ``HEADROOM`` x committed
-(past the noise floor) or past the absolute ceiling.  Faster runs
-always pass; ``--write`` re-anchors.
+``benchmarks/results/BENCH_concurrency.json`` is a *ceiling*, declared
+in :mod:`ratchet` with the workload sizes above: ``--check`` fails only
+on cells slower than 4x committed (past the 0.25 s noise floor) or past
+the 30 s absolute ceiling.  Faster runs always pass; ``--write``
+measures every cell and rewrites it.
 
 Usage::
 
@@ -40,42 +41,26 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
 import sys
 import threading
 import time
-from typing import Any, Mapping
 
+import ratchet
 from repro.graphs.generators import random_tree
 from repro.service import CertificationService, build_envelope
 from repro.service.client import CertifyClient
 from repro.service.httpd import make_server
 from repro.util.rng import make_rng
 
-ROOT = pathlib.Path(__file__).resolve().parent
-RESULTS_DIR = ROOT / "results"
-SNAPSHOT_PATH = RESULTS_DIR / "BENCH_concurrency.json"
-
-SCHEMA = "bench-concurrency/v1"
-SCHEME = "spanning-tree-ptr"
-N = 64
-WORKLOADS = ("cold", "cached")
-METRICS = ("serial_s", "threaded_s")
+_HEADER = ratchet.CONCURRENCY.header
+SCHEME = _HEADER["scheme"]
+N = _HEADER["n"]
 #: Concurrent keep-alive clients on the threaded path.
-CLIENT_THREADS = 4
+CLIENT_THREADS = _HEADER["client_threads"]
 #: Distinct bodies in the ``cold`` workload.
-COLD_ENVELOPES = 32
+COLD_ENVELOPES = _HEADER["cold_envelopes"]
 #: Fresh-nonce resubmissions in the ``cached`` workload.
-CACHED_RESUBMITS = 256
-#: Ratio ceiling against the committed snapshot (wall clock is noisy).
-HEADROOM = 4.0
-#: Cells faster than this are never failed on ratio alone.
-NOISE_FLOOR_S = 0.25
-#: Absolute ceiling for any cell — saturation convoys and lock storms
-#: land far past this; honest runs sit far below.
-ABSOLUTE_CEILING_S = 30.0
+CACHED_RESUBMITS = _HEADER["cached_resubmits"]
 #: Timing repetitions per cell; the minimum is recorded.
 REPS = 3
 
@@ -195,11 +180,11 @@ def measure_cell(workload: str) -> dict[str, float]:
     return {"serial_s": round(serial, 4), "threaded_s": round(threaded, 4)}
 
 
-def measure_all() -> dict[str, dict[str, float]]:
-    grid: dict[str, dict[str, float]] = {metric: {} for metric in METRICS}
-    for workload in WORKLOADS:
+def measure_all() -> dict[str, dict[str, dict[str, float]]]:
+    grid: dict[str, dict[str, float]] = {"serial_s": {}, "threaded_s": {}}
+    for workload in ratchet.CONCURRENCY_WORKLOADS:
         cell = measure_cell(workload)
-        for metric in METRICS:
+        for metric in grid:
             grid[metric][workload] = cell[metric]
         count = COLD_ENVELOPES if workload == "cold" else CACHED_RESUBMITS
         print(
@@ -207,105 +192,8 @@ def measure_all() -> dict[str, dict[str, float]]:
             f"({count / cell['serial_s']:.0f}/s), threaded x{CLIENT_THREADS} "
             f"{cell['threaded_s']:.3f}s ({count / cell['threaded_s']:.0f}/s)"
         )
-    return grid
-
-
-def snapshot(cells: Mapping[str, Mapping[str, float]]) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA,
-        "scheme": SCHEME,
-        "n": N,
-        "client_threads": CLIENT_THREADS,
-        "cold_envelopes": COLD_ENVELOPES,
-        "cached_resubmits": CACHED_RESUBMITS,
-        "headroom": HEADROOM,
-        "noise_floor_s": NOISE_FLOOR_S,
-        "ceiling_s": ABSOLUTE_CEILING_S,
-        "workloads": list(WORKLOADS),
-        "metrics": {metric: dict(cells[metric]) for metric in sorted(cells)},
-    }
-
-
-def compare(
-    committed: Mapping[str, Any], measured: Mapping[str, Mapping[str, float]]
-) -> list[str]:
-    """Failure messages (empty = within every ceiling)."""
-    headroom = float(committed.get("headroom", HEADROOM))
-    floor = float(committed.get("noise_floor_s", NOISE_FLOOR_S))
-    ceiling = float(committed.get("ceiling_s", ABSOLUTE_CEILING_S))
-    failures: list[str] = []
-    old_cells = {
-        (metric, workload): value
-        for metric, workloads in committed.get("metrics", {}).items()
-        for workload, value in workloads.items()
-    }
-    new_cells = {
-        (metric, workload): value
-        for metric, workloads in measured.items()
-        for workload, value in workloads.items()
-    }
-    for key in sorted(old_cells.keys() - new_cells.keys()):
-        failures.append(f"concurrency: committed cell {key} no longer measured")
-    for key in sorted(new_cells.keys() - old_cells.keys()):
-        failures.append(f"concurrency: new cell {key} missing from the snapshot")
-    for key in sorted(old_cells.keys() & new_cells.keys()):
-        old, new = old_cells[key], new_cells[key]
-        metric, workload = key
-        if new > ceiling:
-            failures.append(
-                f"concurrency: {metric} {workload} took {new:.4f}s > "
-                f"absolute ceiling {ceiling:g}s"
-            )
-        elif new > floor and new > old * headroom:
-            failures.append(
-                f"concurrency: {metric} {workload} took {new:.4f}s > "
-                f"{headroom:.0f}x the committed {old:.4f}s"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument(
-        "--write", action="store_true", help="measure and commit the snapshot"
-    )
-    action.add_argument(
-        "--check", action="store_true", help="measure and compare to the snapshot"
-    )
-    args = parser.parse_args(argv)
-
-    grid = measure_all()
-    if args.write:
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        SNAPSHOT_PATH.write_text(
-            json.dumps(snapshot(grid), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {SNAPSHOT_PATH.relative_to(ROOT.parent)}")
-        return 0
-
-    if not SNAPSHOT_PATH.is_file():
-        print(
-            f"FAIL {SNAPSHOT_PATH.name}: missing — run "
-            "bench_concurrency.py --write",
-            file=sys.stderr,
-        )
-        return 1
-    committed = json.loads(SNAPSHOT_PATH.read_text(encoding="utf-8"))
-    failures = compare(committed, grid)
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"ok: cold serial {grid['serial_s']['cold']:.3f}s vs threaded "
-        f"{grid['threaded_s']['cold']:.3f}s; cached serial "
-        f"{grid['serial_s']['cached']:.3f}s vs threaded "
-        f"{grid['threaded_s']['cached']:.3f}s (ceiling {ABSOLUTE_CEILING_S:g}s)"
-    )
-    return 0
+    return {"concurrency": grid}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(ratchet.main((ratchet.CONCURRENCY,), measure_all))

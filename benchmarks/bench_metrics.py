@@ -15,13 +15,13 @@ deterministic counters (:mod:`repro.obs`) — never wall clock:
 Graphs come from each spec's own sampler under a cell-deterministic
 seed, so the measured numbers are bit-stable across runs and machines.
 
-The committed snapshots live at ``benchmarks/results/BENCH_views.json``
-and ``benchmarks/results/BENCH_messages.json``.  CI runs ``--check``:
-any cell more than ``TOLERANCE`` (10%) above its committed value fails
-the build — a perf regression in the audited unit must either be fixed
-or be justified and re-committed via ``--write`` in the same change.
-Cells *below* the snapshot (improvements) are reported but pass; run
-``--write`` to ratchet them down.
+The committed snapshots are ``benchmarks/results/BENCH_views.json``
+and ``benchmarks/results/BENCH_messages.json``.  Their grid and the 10%
+tolerance are declared in :mod:`ratchet`: ``--check`` fails a cell more
+than 10% above its committed value, so a cost regression in the audited
+unit is either fixed or justified and rewritten with ``--write`` in the
+same change.  A cell below its snapshot passes with a note; ``--write``
+ratchets it down.
 
 Usage::
 
@@ -31,43 +31,14 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
 import sys
 import zlib
-from typing import Any, Mapping
 
+import ratchet
 from repro.core import catalog
 from repro.local.verification_round import distributed_verification
 from repro.obs import metrics as obs
 from repro.util.rng import make_rng
-
-ROOT = pathlib.Path(__file__).resolve().parent
-RESULTS_DIR = ROOT / "results"
-VIEWS_PATH = RESULTS_DIR / "BENCH_views.json"
-MESSAGES_PATH = RESULTS_DIR / "BENCH_messages.json"
-
-SCHEMA = "bench-metrics/v1"
-#: A cell may grow by at most this fraction over its committed value.
-TOLERANCE = 0.10
-
-#: The benchmarked grid: catalog names x network sizes.  At least 8
-#: schemes and 3 sizes (benchmarks/check_results.py enforces this on
-#: the committed snapshots).
-SCHEMES = (
-    "agreement",
-    "leader",
-    "bfs-tree",
-    "spanning-tree-ptr",
-    "spanning-tree-list",
-    "mst",
-    "coloring-echo",
-    "bipartite",
-    "independent-set",
-    "matching",
-)
-SIZES = (16, 32, 64)
 
 
 def _cell_seed(name: str, n: int) -> int:
@@ -104,148 +75,14 @@ def measure_cell(name: str, n: int) -> dict[str, int]:
 
 
 def measure_all() -> dict[str, dict[str, dict[str, int]]]:
-    """``{metric: {scheme: {str(n): value}}}`` over the whole grid."""
-    grid: dict[str, dict[str, dict[str, int]]] = {
-        "views.built": {},
-        "messages.sent": {},
-    }
-    for name in SCHEMES:
-        for metric in grid:
-            grid[metric][name] = {}
-        for n in SIZES:
-            cell = measure_cell(name, n)
-            for metric, value in cell.items():
-                grid[metric][name][str(n)] = value
-    return grid
-
-
-def snapshot(metric: str, cells: Mapping[str, Mapping[str, int]]) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA,
-        "metric": metric,
-        "tolerance": TOLERANCE,
-        "sizes": list(SIZES),
-        "schemes": {name: dict(cells[name]) for name in sorted(cells)},
-    }
-
-
-def compare(
-    committed: Mapping[str, Any],
-    measured: Mapping[str, Mapping[str, int]],
-    tolerance: float | None = None,
-) -> list[str]:
-    """Regression messages (empty = the ratchet holds).
-
-    A cell regresses when its measured value exceeds the committed one
-    by more than ``tolerance``; grid drift (a committed cell that was
-    not measured, or vice versa) is also a failure — the snapshot must
-    be regenerated in the same change that alters the grid.
-    """
-    tolerance = float(
-        committed.get("tolerance", TOLERANCE) if tolerance is None else tolerance
-    )
-    metric = committed.get("metric", "?")
-    failures: list[str] = []
-    old_cells = {
-        (name, n): value
-        for name, sizes in committed.get("schemes", {}).items()
-        for n, value in sizes.items()
-    }
-    new_cells = {
-        (name, n): value
-        for name, sizes in measured.items()
-        for n, value in sizes.items()
-    }
-    for key in sorted(old_cells.keys() - new_cells.keys()):
-        failures.append(f"{metric}: committed cell {key} no longer measured")
-    for key in sorted(new_cells.keys() - old_cells.keys()):
-        failures.append(
-            f"{metric}: new cell {key} missing from the committed snapshot"
-        )
-    for key in sorted(old_cells.keys() & new_cells.keys()):
-        old, new = old_cells[key], new_cells[key]
-        if new > old * (1.0 + tolerance):
-            name, n = key
-            failures.append(
-                f"{metric}: {name} n={n} regressed {old} -> {new} "
-                f"(+{(new / max(1, old) - 1) * 100:.1f}%, tolerance "
-                f"{tolerance * 100:.0f}%)"
-            )
-    return failures
-
-
-def _improvements(
-    committed: Mapping[str, Any], measured: Mapping[str, Mapping[str, int]]
-) -> list[str]:
-    metric = committed.get("metric", "?")
-    notes = []
-    for name, sizes in sorted(committed.get("schemes", {}).items()):
-        for n, old in sorted(sizes.items(), key=lambda kv: int(kv[0])):
-            new = measured.get(name, {}).get(n)
-            if new is not None and new < old:
-                notes.append(f"{metric}: {name} n={n} improved {old} -> {new}")
-    return notes
-
-
-def _write(grid: Mapping[str, Mapping[str, Mapping[str, int]]]) -> None:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    for metric, path in (
-        ("views.built", VIEWS_PATH),
-        ("messages.sent", MESSAGES_PATH),
-    ):
-        path.write_text(
-            json.dumps(snapshot(metric, grid[metric]), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {path.relative_to(ROOT.parent)}")
-
-
-def _check(grid: Mapping[str, Mapping[str, Mapping[str, int]]]) -> int:
-    failures: list[str] = []
-    for metric, path in (
-        ("views.built", VIEWS_PATH),
-        ("messages.sent", MESSAGES_PATH),
-    ):
-        if not path.is_file():
-            failures.append(
-                f"{path.name}: missing — run bench_metrics.py --write"
-            )
-            continue
-        committed = json.loads(path.read_text(encoding="utf-8"))
-        failures.extend(compare(committed, grid[metric]))
-        for note in _improvements(committed, grid[metric]):
-            print(f"note: {note} (run --write to ratchet down)")
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}", file=sys.stderr)
-        return 1
-    cells = len(SCHEMES) * len(SIZES)
-    print(f"ok: {cells} cells x 2 metrics within {TOLERANCE * 100:.0f}% "
-          "of the committed ratchet")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="deterministic cost-unit perf ratchet"
-    )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--check", action="store_true",
-        help="measure and fail on >10%% regression vs the committed snapshots",
-    )
-    mode.add_argument(
-        "--write", action="store_true",
-        help="measure and (re)write the committed snapshots",
-    )
-    args = parser.parse_args(argv)
-    grid = measure_all()
-    if args.write:
-        _write(grid)
-        return 0
-    return _check(grid)
+    """``{grid: {scheme: {str(n): value}}}`` over the whole grid."""
+    grids: dict[str, dict[str, dict[str, int]]] = {"views": {}, "messages": {}}
+    for name in ratchet.COST_SCHEMES:
+        cells = {str(n): measure_cell(name, n) for n in ratchet.COST_SIZES}
+        for grid, metric in (("views", "views.built"), ("messages", "messages.sent")):
+            grids[grid][name] = {n: cell[metric] for n, cell in cells.items()}
+    return grids
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(ratchet.main((ratchet.VIEWS, ratchet.MESSAGES), measure_all))

@@ -39,10 +39,11 @@ served verdict must match the in-process ``decide()`` verdict
 node-for-node (honest accepted; corrupted rejections identical).
 
 Like :mod:`bench_wallclock`, the committed snapshot at
-``benchmarks/results/BENCH_service.json`` is a *ceiling*: ``--check``
-fails only on cells slower than ``HEADROOM`` x committed (and past the
-noise floor), or past the absolute ceilings.  Faster runs always pass;
-``--write`` re-anchors.
+``benchmarks/results/BENCH_service.json`` is a *ceiling*, declared in
+:mod:`ratchet`: ``--check`` fails only on cells slower than 4x
+committed (and past the 0.25 s noise floor), or past the absolute
+ceilings (20 s cold, 50 ms cached at every n, 5 s wire cached).  Faster
+runs always pass; ``--write`` measures every cell and rewrites it.
 
 Usage::
 
@@ -52,14 +53,11 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
 import sys
 import time
 import zlib
-from typing import Any, Mapping
 
+import ratchet
 from repro.core import catalog
 from repro.core.labeling import Configuration
 from repro.core.verifier import decide
@@ -69,25 +67,7 @@ from repro.service import CertificationService, build_envelope
 from repro.service.server import _rng_seed
 from repro.util.rng import make_rng
 
-ROOT = pathlib.Path(__file__).resolve().parent
-RESULTS_DIR = ROOT / "results"
-SNAPSHOT_PATH = RESULTS_DIR / "BENCH_service.json"
-
-SCHEMA = "bench-service/v1"
-SCHEME = "spanning-tree-ptr"
-SIZES = (10_000, 100_000)
-METRICS = ("cold_s", "cached_s", "wire_cached_s")
-#: Ratio ceiling against the committed snapshot (wall clock is noisy).
-HEADROOM = 4.0
-#: Cells faster than this are never failed on ratio alone.
-NOISE_FLOOR_S = 0.25
-#: Absolute ceiling for a cold n=100 000 submission.
-COLD_CEILING_S = 20.0
-#: Absolute, size-independent ceiling for the hot path — this *is* the
-#: O(1) claim: the same bound applies at every n.
-CACHED_CEILING_S = 0.05
-#: Absolute ceiling for a wire resubmission (one SHA-256 over the body).
-WIRE_CACHED_CEILING_S = 5.0
+SCHEME = ratchet.SERVICE.header["scheme"]
 #: Timing repetitions per cell; the minimum is recorded.
 REPS = 3
 
@@ -179,121 +159,19 @@ def measure_cell(n: int) -> dict[str, float]:
     }
 
 
-def measure_all() -> dict[str, dict[str, float]]:
-    grid: dict[str, dict[str, float]] = {m: {} for m in METRICS}
-    for n in SIZES:
+def measure_all() -> dict[str, dict[str, dict[str, float]]]:
+    grid: dict[str, dict[str, float]] = {}
+    for n in ratchet.SERVICE_SIZES:
         cell = measure_cell(n)
-        for metric in METRICS:
-            grid[metric][str(n)] = cell[metric]
+        for metric, seconds in cell.items():
+            grid.setdefault(metric, {})[str(n)] = seconds
         print(
             f"measured {SCHEME} n={n}: cold {cell['cold_s']:.3f}s, "
             f"cached {cell['cached_s'] * 1e3:.2f}ms, "
             f"wire cached {cell['wire_cached_s'] * 1e3:.1f}ms"
         )
-    return grid
-
-
-def snapshot(cells: Mapping[str, Mapping[str, float]]) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA,
-        "scheme": SCHEME,
-        "headroom": HEADROOM,
-        "noise_floor_s": NOISE_FLOOR_S,
-        "cold_ceiling_s": COLD_CEILING_S,
-        "cached_ceiling_s": CACHED_CEILING_S,
-        "wire_cached_ceiling_s": WIRE_CACHED_CEILING_S,
-        "sizes": list(SIZES),
-        "metrics": {m: dict(cells[m]) for m in sorted(cells)},
-    }
-
-
-def compare(
-    committed: Mapping[str, Any], measured: Mapping[str, Mapping[str, float]]
-) -> list[str]:
-    """Failure messages (empty = within every ceiling)."""
-    headroom = float(committed.get("headroom", HEADROOM))
-    floor = float(committed.get("noise_floor_s", NOISE_FLOOR_S))
-    ceilings = {
-        "cold_s": float(committed.get("cold_ceiling_s", COLD_CEILING_S)),
-        "cached_s": float(committed.get("cached_ceiling_s", CACHED_CEILING_S)),
-        "wire_cached_s": float(
-            committed.get("wire_cached_ceiling_s", WIRE_CACHED_CEILING_S)
-        ),
-    }
-    failures: list[str] = []
-    old_cells = {
-        (metric, n): value
-        for metric, sizes in committed.get("metrics", {}).items()
-        for n, value in sizes.items()
-    }
-    new_cells = {
-        (metric, n): value
-        for metric, sizes in measured.items()
-        for n, value in sizes.items()
-    }
-    for key in sorted(old_cells.keys() - new_cells.keys()):
-        failures.append(f"service: committed cell {key} no longer measured")
-    for key in sorted(new_cells.keys() - old_cells.keys()):
-        failures.append(f"service: new cell {key} missing from the snapshot")
-    for key in sorted(old_cells.keys() & new_cells.keys()):
-        old, new = old_cells[key], new_cells[key]
-        metric, n = key
-        ceiling = ceilings.get(metric, COLD_CEILING_S)
-        if new > ceiling:
-            failures.append(
-                f"service: {metric} n={n} took {new:.4f}s > absolute "
-                f"ceiling {ceiling:g}s"
-            )
-        elif new > floor and new > old * headroom:
-            failures.append(
-                f"service: {metric} n={n} took {new:.4f}s > {headroom:.0f}x "
-                f"the committed {old:.4f}s"
-            )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument(
-        "--write", action="store_true", help="measure and commit the snapshot"
-    )
-    action.add_argument(
-        "--check", action="store_true", help="measure and compare to the snapshot"
-    )
-    args = parser.parse_args(argv)
-
-    grid = measure_all()
-    if args.write:
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        SNAPSHOT_PATH.write_text(
-            json.dumps(snapshot(grid), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {SNAPSHOT_PATH.relative_to(ROOT.parent)}")
-        return 0
-
-    if not SNAPSHOT_PATH.is_file():
-        print(
-            f"FAIL {SNAPSHOT_PATH.name}: missing — run bench_service.py --write",
-            file=sys.stderr,
-        )
-        return 1
-    committed = json.loads(SNAPSHOT_PATH.read_text(encoding="utf-8"))
-    failures = compare(committed, grid)
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}", file=sys.stderr)
-        return 1
-    largest = str(max(SIZES))
-    print(
-        f"ok: cold n={largest} {grid['cold_s'][largest]:.2f}s; cached "
-        f"{grid['cached_s'][largest] * 1e3:.2f}ms (O(1) ceiling "
-        f"{CACHED_CEILING_S * 1e3:.0f}ms at every n); wire cached "
-        f"{grid['wire_cached_s'][largest] * 1e3:.1f}ms"
-    )
-    return 0
+    return {"service": grid}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(ratchet.main((ratchet.SERVICE,), measure_all))

@@ -13,67 +13,35 @@ The array-native core exists for one headline number per layer:
 Wall clock is machine-dependent, so unlike the deterministic counter
 ratchet (:mod:`bench_metrics`) the committed snapshot at
 ``benchmarks/results/BENCH_wallclock.json`` is a *ceiling*, not a
-bit-stable value.  ``--check`` fails only when a cell is slower than
-``HEADROOM`` (4x) times its committed value *and* slower than
-``NOISE_FLOOR_S`` in absolute terms, or slower than the paper-facing
+bit-stable value.  Its grids and bounds are declared in :mod:`ratchet`:
+``--check`` fails a cell only when it is slower than 4x its committed
+value *and* than the 0.5 s noise floor, or slower than the paper-facing
 absolute ceiling for its grid (10 s for a verification round at
 n = 100 000; 60 s for the full pipeline at n = 1 000 000).  Faster runs
-always pass.
-
-``--write`` keeps committed cells **bit-identical**: cells already in
-the snapshot are carried over verbatim and only missing cells (a new
-scheme or size joining a grid) are measured — so regenerating the file
-on any machine is a no-op unless the grids changed shape.  Re-anchor
-every ceiling to this machine's timings with ``--write --reanchor``.
+always pass.  ``--write`` measures every cell and rewrites the snapshot
+with this machine's timings.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_wallclock.py --check
     PYTHONPATH=src python benchmarks/bench_wallclock.py --write
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --check --json-out measured.json
+    PYTHONPATH=src python benchmarks/bench_wallclock.py --check --json-out measured
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
 import sys
 import time
 import zlib
-from typing import Any, Mapping
 
+import ratchet
 from repro.core import catalog
 from repro.core.batch import batch_prove, supports_batch, supports_batch_marker
 from repro.graphs.generators import random_tree
 from repro.util.rng import make_rng
 
-ROOT = pathlib.Path(__file__).resolve().parent
-RESULTS_DIR = ROOT / "results"
-SNAPSHOT_PATH = RESULTS_DIR / "BENCH_wallclock.json"
-
-SCHEMA = "bench-wallclock/v2"
-METRIC = "certify.seconds"
-#: A cell fails only beyond HEADROOM x committed (wall clock is noisy
-#: and machine-dependent; 4x separates "different machine" from "the
-#: fast path fell off").
-HEADROOM = 4.0
-#: Cells faster than this are never failed on ratio alone.
-NOISE_FLOOR_S = 0.5
-#: The paper-facing acceptance ceiling at the largest certify size.
-ABS_CEILING_S = 10.0
 #: Timing repetitions per cell; the minimum is recorded.
 REPS = 3
-
-#: The measured grid: batch-capable schemes on spanning trees.
-SCHEMES = ("spanning-tree-ptr", "leader", "bfs-tree")
-SIZES = (1_000, 10_000, 100_000)
-
-#: The end-to-end grid: generate + prove + decide, one instance each.
-E2E_METRIC = "endtoend.seconds"
-E2E_SIZES = (10_000, 100_000, 1_000_000)
-#: The acceptance ceiling for the full pipeline at n = 1 000 000.
-E2E_ABS_CEILING_S = 60.0
 #: The pipeline is slower per rep than a bare verification round, so
 #: fewer repetitions keep --check affordable in CI.
 E2E_REPS = 2
@@ -108,9 +76,13 @@ def measure_e2e_cell(name: str, n: int) -> float:
     """Best-of-``E2E_REPS`` seconds for generate + prove + decide.
 
     The graph (and its CSR mirror) is built once outside the timed
-    region — instance *sampling* is a pure-Python generator and not part
-    of the pipeline this grid ratchets.  Each rep restarts the rng so
-    every rep generates the identical configuration.
+    region: this grid ratchets the pipeline from a sampled instance to
+    its verdict, so sampling is not in it.  ``random_tree`` is loop-free
+    (a vectorized Prüfer decode, about 0.3-0.4 s at n = 10^6), and
+    ``perfbench/run.py`` times it as its own ``graphs.random_tree_s``
+    layer.
+    Each rep restarts the rng so every rep generates the identical
+    configuration.
     """
     spec = catalog.get(name)
     graph = random_tree(n, make_rng(_cell_seed(name, n)))
@@ -131,200 +103,20 @@ def measure_e2e_cell(name: str, n: int) -> float:
     return round(best, 4)
 
 
-def measure_all(
-    committed: Mapping[str, Any] | None = None,
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Both grids, as ``{"certify": {...}, "endtoend": {...}}``.
-
-    With ``committed``, cells already present in the snapshot are copied
-    over bit-identically instead of re-measured (the ``--write``
-    contract); pass ``None`` to measure everything.
-    """
-    old_certify = (committed or {}).get("schemes", {})
-    old_e2e = (committed or {}).get("endtoend", {}).get("schemes", {})
+def measure_all() -> dict[str, dict[str, dict[str, float]]]:
+    """Both grids, as ``{"certify": {...}, "endtoend": {...}}``."""
     grids: dict[str, dict[str, dict[str, float]]] = {"certify": {}, "endtoend": {}}
-    for name in SCHEMES:
-        grids["certify"][name] = {}
-        for n in SIZES:
-            kept = old_certify.get(name, {}).get(str(n))
-            if kept is not None:
-                grids["certify"][name][str(n)] = kept
-                print(f"kept {name} n={n}: {kept:.3f}s (committed)")
-            else:
-                grids["certify"][name][str(n)] = measure_cell(name, n)
-                print(f"measured {name} n={n}: {grids['certify'][name][str(n)]:.3f}s")
-    for name in SCHEMES:
-        grids["endtoend"][name] = {}
-        for n in E2E_SIZES:
-            kept = old_e2e.get(name, {}).get(str(n))
-            if kept is not None:
-                grids["endtoend"][name][str(n)] = kept
-                print(f"kept endtoend {name} n={n}: {kept:.3f}s (committed)")
-            else:
-                grids["endtoend"][name][str(n)] = measure_e2e_cell(name, n)
-                print(
-                    f"measured endtoend {name} n={n}: "
-                    f"{grids['endtoend'][name][str(n)]:.3f}s"
-                )
+    for grid, sizes, measure in (
+        ("certify", ratchet.CERTIFY_SIZES, measure_cell),
+        ("endtoend", ratchet.ENDTOEND_SIZES, measure_e2e_cell),
+    ):
+        for name in ratchet.WALLCLOCK_SCHEMES:
+            grids[grid][name] = {}
+            for n in sizes:
+                seconds = grids[grid][name][str(n)] = measure(name, n)
+                print(f"measured {grid} {name} n={n}: {seconds:.3f}s")
     return grids
 
 
-def snapshot(grids: Mapping[str, Mapping[str, Mapping[str, float]]]) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA,
-        "metric": METRIC,
-        "headroom": HEADROOM,
-        "noise_floor_s": NOISE_FLOOR_S,
-        "abs_ceiling_s": ABS_CEILING_S,
-        "sizes": list(SIZES),
-        "schemes": {name: dict(grids["certify"][name]) for name in sorted(SCHEMES)},
-        "endtoend": {
-            "metric": E2E_METRIC,
-            "abs_ceiling_s": E2E_ABS_CEILING_S,
-            "sizes": list(E2E_SIZES),
-            "schemes": {
-                name: dict(grids["endtoend"][name]) for name in sorted(SCHEMES)
-            },
-        },
-    }
-
-
-def _compare_grid(
-    metric: str,
-    old_schemes: Mapping[str, Mapping[str, float]],
-    new_schemes: Mapping[str, Mapping[str, float]],
-    headroom: float,
-    floor: float,
-    ceiling: float,
-) -> list[str]:
-    failures: list[str] = []
-    old_cells = {
-        (name, n): value
-        for name, sizes in old_schemes.items()
-        for n, value in sizes.items()
-    }
-    new_cells = {
-        (name, n): value
-        for name, sizes in new_schemes.items()
-        for n, value in sizes.items()
-    }
-    for key in sorted(old_cells.keys() - new_cells.keys()):
-        failures.append(f"{metric}: committed cell {key} no longer measured")
-    for key in sorted(new_cells.keys() - old_cells.keys()):
-        failures.append(f"{metric}: new cell {key} missing from the snapshot")
-    for key in sorted(old_cells.keys() & new_cells.keys()):
-        old, new = old_cells[key], new_cells[key]
-        name, n = key
-        if new > ceiling:
-            failures.append(
-                f"{metric}: {name} n={n} took {new:.2f}s > absolute "
-                f"ceiling {ceiling:.0f}s"
-            )
-        elif new > floor and new > old * headroom:
-            failures.append(
-                f"{metric}: {name} n={n} took {new:.2f}s > {headroom:.0f}x "
-                f"the committed {old:.2f}s"
-            )
-    return failures
-
-
-def compare(
-    committed: Mapping[str, Any],
-    grids: Mapping[str, Mapping[str, Mapping[str, float]]],
-) -> list[str]:
-    """Failure messages (empty = within the ceilings)."""
-    headroom = float(committed.get("headroom", HEADROOM))
-    floor = float(committed.get("noise_floor_s", NOISE_FLOOR_S))
-    failures = _compare_grid(
-        METRIC,
-        committed.get("schemes", {}),
-        grids["certify"],
-        headroom,
-        floor,
-        float(committed.get("abs_ceiling_s", ABS_CEILING_S)),
-    )
-    e2e = committed.get("endtoend", {})
-    failures.extend(
-        _compare_grid(
-            E2E_METRIC,
-            e2e.get("schemes", {}),
-            grids["endtoend"],
-            headroom,
-            floor,
-            float(e2e.get("abs_ceiling_s", E2E_ABS_CEILING_S)),
-        )
-    )
-    return failures
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument(
-        "--write",
-        action="store_true",
-        help="commit the snapshot, carrying committed cells over verbatim",
-    )
-    action.add_argument(
-        "--check", action="store_true", help="measure and compare to the snapshot"
-    )
-    parser.add_argument(
-        "--reanchor",
-        action="store_true",
-        help="with --write: re-measure every cell instead of keeping "
-        "committed values",
-    )
-    parser.add_argument(
-        "--json-out",
-        metavar="PATH",
-        default=None,
-        help="also dump the measured grids as JSON (CI failure artifact)",
-    )
-    args = parser.parse_args(argv)
-    if args.reanchor and not args.write:
-        parser.error("--reanchor only makes sense with --write")
-
-    committed: dict[str, Any] | None = None
-    if SNAPSHOT_PATH.is_file():
-        committed = json.loads(SNAPSHOT_PATH.read_text(encoding="utf-8"))
-
-    keep_from = committed if args.write and not args.reanchor else None
-    grids = measure_all(keep_from)
-    if args.json_out:
-        pathlib.Path(args.json_out).write_text(
-            json.dumps(snapshot(grids), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    if args.write:
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        SNAPSHOT_PATH.write_text(
-            json.dumps(snapshot(grids), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {SNAPSHOT_PATH.relative_to(ROOT.parent)}")
-        return 0
-
-    if committed is None:
-        print(
-            f"FAIL {SNAPSHOT_PATH.name}: missing — run bench_wallclock.py --write",
-            file=sys.stderr,
-        )
-        return 1
-    failures = compare(committed, grids)
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}", file=sys.stderr)
-        return 1
-    largest = max(E2E_SIZES)
-    worst = max(grids["endtoend"][name][str(largest)] for name in SCHEMES)
-    print(
-        f"ok: certify {len(SCHEMES)}x{len(SIZES)} and endtoend "
-        f"{len(SCHEMES)}x{len(E2E_SIZES)} cells within ceiling; worst "
-        f"endtoend n={largest} cell {worst:.2f}s "
-        f"(acceptance: < {E2E_ABS_CEILING_S:.0f}s)"
-    )
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(ratchet.main((ratchet.WALLCLOCK,), measure_all))

@@ -432,18 +432,19 @@ def _scheme_line(scheme, spec) -> str:
     return f"scheme: {scheme.name} (kind={spec.kind}, {scheme.size_bound})"
 
 
-def _attack_instance(
-    scheme, graph: Graph, rng, corruptions: int
-) -> tuple[Any, Any]:
-    """(no-instance, related member) for the budgeted adversary."""
-    member = scheme.language.member_configuration(graph, rng=rng)
+def _no_instance(scheme, graph: Graph, rng, corruptions: int) -> Any:
+    """An illegal (exact) or α-far (gap) configuration to attack."""
     if isinstance(scheme, ApproxScheme):
-        bad = scheme.gap_language.no_configuration(graph, rng=rng)
-    else:
-        bad = scheme.language.corrupted_configuration(
-            graph, corruptions=corruptions, rng=rng
-        )
-    return bad, member
+        return scheme.gap_language.no_configuration(graph, rng=rng)
+    return scheme.language.corrupted_configuration(
+        graph, corruptions=corruptions, rng=rng
+    )
+
+
+def _run_adversary(scheme, bad, member, rng, trials: int):
+    """The budgeted adversary on ``bad``, seeded with ``member``."""
+    runner = run_gap_attack if isinstance(scheme, ApproxScheme) else run_attack
+    return runner(scheme, bad, rng=rng, trials=trials, related=[member])
 
 
 def _cmd_certify(args) -> int:
@@ -471,21 +472,11 @@ def _cmd_certify(args) -> int:
     code = 0 if verdict.all_accept else 1
     if args.attack:
         try:
-            if isinstance(scheme, ApproxScheme):
-                bad = scheme.gap_language.no_configuration(graph, rng=rng)
-            else:
-                bad = scheme.language.corrupted_configuration(
-                    graph, corruptions=2, rng=rng
-                )
+            bad = _no_instance(scheme, graph, rng, corruptions=2)
         except Exception as error:
             print(f"attack skipped: {error}")
             return code
-        runner = (
-            run_gap_attack if isinstance(scheme, ApproxScheme) else run_attack
-        )
-        result = runner(
-            scheme, bad, rng=rng, trials=args.trials, related=[config]
-        )
+        result = _run_adversary(scheme, bad, config, rng, args.trials)
         target = (
             "an α-far no-instance"
             if isinstance(scheme, ApproxScheme)
@@ -502,11 +493,11 @@ def _cmd_certify(args) -> int:
 def _cmd_attack(args) -> int:
     rng, scheme, graph = _make_instance(args)
     try:
-        bad, member = _attack_instance(scheme, graph, rng, args.corruptions)
+        member = scheme.language.member_configuration(graph, rng=rng)
+        bad = _no_instance(scheme, graph, rng, args.corruptions)
     except Exception as error:
         raise SystemExit(f"could not build a no-instance: {error}")
-    runner = run_gap_attack if isinstance(scheme, ApproxScheme) else run_attack
-    result = runner(scheme, bad, rng=rng, trials=args.trials, related=[member])
+    result = _run_adversary(scheme, bad, member, rng, args.trials)
     print(f"graph: {graph!r}, corruptions: {args.corruptions}")
     print(f"adversary evaluations: {result.evaluations}")
     print(f"fooled: {result.fooled}; minimum rejecting nodes reached: "

@@ -249,20 +249,16 @@ class CertificationService:
     ----------
     cache_size:
         Bounded LRU capacity (results, keyed by envelope body hash).
-    nullifier_capacity:
-        Size of the anti-replay window (see
-        :class:`~repro.service.envelope.NullifierRegistry`).
+
+    The anti-replay window is :class:`~repro.service.envelope.
+    NullifierRegistry`'s default of 100 000 nullifiers.
     """
 
-    def __init__(
-        self,
-        cache_size: int = 256,
-        nullifier_capacity: int = 100_000,
-    ) -> None:
+    def __init__(self, cache_size: int = 256) -> None:
         if cache_size < 1:
             raise ValueError(f"cache_size must be positive, got {cache_size}")
         self.cache_size = cache_size
-        self.nullifiers = NullifierRegistry(nullifier_capacity)
+        self.nullifiers = NullifierRegistry()
         self._cache: "OrderedDict[str, CertificationResult]" = OrderedDict()
         #: The wire-key index: wire key -> body hash of a cached verdict,
         #: and back; at most one key per verdict, dropped on eviction.
